@@ -11,21 +11,25 @@ use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use parking_lot::RwLock;
 
-use hsqp_net::{Fabric, NodeId, QueryId};
-use hsqp_numa::{AllocPolicy, SocketId, Topology};
+use hsqp_net::{
+    Fabric, NetScheduler, NodeId, QueryId, QueryStatsRegistry, Transport as NetTransport,
+};
+use hsqp_numa::{AllocPolicy, CostModel, SocketId, Topology};
 use hsqp_storage::placement::{crc32, crc32_i64};
+use hsqp_storage::table::MORSEL_SIZE;
 use hsqp_storage::{decimal_to_f64, Column, Schema, Table, Value};
 use hsqp_tpch::TpchTable;
 
 use crate::exchange::{
-    encode_header, patch_header, MessagePool, MuxCmd, RecvHub, RecvMsg, FLAG_DUP, FLAG_LAST,
-    HEADER_LEN,
+    encode_header, patch_header, spawn_multiplexer, MessagePool, MuxCmd, MuxConfig, RecvHub,
+    RecvMsg, FLAG_DUP, FLAG_LAST, HEADER_LEN,
 };
 use crate::expr::{eval, Expr};
 use crate::local::MorselDriver;
@@ -82,7 +86,79 @@ pub struct NodeCtx {
     pub fabric: Arc<Fabric>,
 }
 
+/// How one node is built: the same recipe for a simulated node and for an
+/// `hsqp-node` process.
+pub(crate) struct NodeSpec {
+    pub node: NodeId,
+    pub nodes: u16,
+    pub workers: u16,
+    pub sockets: u16,
+    pub message_capacity: usize,
+    /// `Some(t)` runs classic exchanges with `t` parallel units.
+    pub classic_units: Option<u16>,
+    pub alloc_policy: AllocPolicy,
+    /// NUMA remote-access penalty in ns/byte (0 disables the simulation).
+    pub numa_cost_ns: f64,
+}
+
 impl NodeCtx {
+    /// Build a node and spawn its multiplexer over `endpoint`, scheduled
+    /// round-robin when a `scheduler` is given. Returns the node and its
+    /// multiplexer thread (stopped by sending [`MuxCmd::Shutdown`]).
+    pub(crate) fn start(
+        spec: &NodeSpec,
+        endpoint: Box<dyn NetTransport>,
+        fabric: Arc<Fabric>,
+        scheduler: Option<Arc<NetScheduler>>,
+        query_stats: Arc<QueryStatsRegistry>,
+    ) -> (Arc<NodeCtx>, JoinHandle<()>) {
+        let cores_per_socket = spec.workers.div_ceil(spec.sockets).max(1);
+        let cost = CostModel::new(spec.numa_cost_ns);
+        let topology = Arc::new(Topology::new(spec.sockets, cores_per_socket, cost));
+        let hub = RecvHub::new(spec.classic_units.unwrap_or(spec.sockets) as usize);
+        let pool = Arc::new(MessagePool::new(
+            Arc::clone(&fabric),
+            spec.node,
+            spec.sockets,
+            spec.message_capacity,
+        ));
+        let mux_cfg = MuxConfig {
+            node: spec.node,
+            nodes: spec.nodes,
+            scheduling: scheduler.is_some(),
+            batch_per_phase: 8,
+            classic_units: spec.classic_units,
+            sockets: spec.sockets,
+            alloc_policy: spec.alloc_policy,
+        };
+        let (to_mux, mux) = spawn_multiplexer(
+            mux_cfg,
+            endpoint,
+            Arc::clone(&hub),
+            Arc::clone(&pool),
+            scheduler,
+            query_stats,
+        );
+        let stealing = spec.classic_units.is_none();
+        let ctx = NodeCtx {
+            node: spec.node,
+            nodes: spec.nodes,
+            driver: MorselDriver::new(spec.workers, &topology, MORSEL_SIZE, stealing),
+            topology,
+            alloc_policy: spec.alloc_policy,
+            classic_units: spec.classic_units,
+            message_capacity: spec.message_capacity,
+            pool,
+            hub,
+            to_mux,
+            tables: RwLock::new(HashMap::new()),
+            temps: RwLock::new(HashMap::new()),
+            consume_loads: parking_lot::Mutex::new(Vec::new()),
+            fabric,
+        };
+        (Arc::new(ctx), mux)
+    }
+
     fn local_table(&self, t: TpchTable) -> Arc<Table> {
         self.tables
             .read()

@@ -32,11 +32,12 @@
 //!
 //! Queries are *submitted*, not merely run:
 //! [`Session::submit`](session::Session::submit) returns a
-//! [`QueryHandle`] and the cluster's dispatcher executes up to
-//! [`max_concurrent`](cluster::ClusterConfig::max_concurrent) queries at
+//! [`QueryHandle`] and the cluster's [`Coordinator`] executes up to
+//! [`max_concurrent`](serve::DispatchConfig::max_concurrent) queries at
 //! once over the shared multiplexers — every wire message is tagged with
 //! a [`QueryId`], temp relations live in per-query namespaces, and
-//! fabric statistics are accounted per query.
+//! network statistics are accounted per query. The same coordinator
+//! drives the out-of-process [`remote`] cluster of `hsqp-node` servers.
 //!
 //! Execution is observable end to end: the span-based [`profile`]r records
 //! per stage × node × operator timings (network wait split out at exchange
@@ -50,6 +51,7 @@
 //! granularity (explicit [`QueryHandle::cancel`] or a per-query deadline).
 
 pub mod cluster;
+mod coordinator;
 pub mod cost;
 pub mod error;
 pub mod exchange;
@@ -72,7 +74,8 @@ pub mod vm;
 pub mod wire;
 
 pub use cluster::{
-    Cluster, ClusterConfig, EngineKind, ExprEngine, QueryHandle, QueryResult, Transport,
+    Cluster, ClusterConfig, Coordinator, EngineKind, ExprEngine, QueryHandle, QueryResult,
+    Transport,
 };
 pub use cost::CostModel;
 pub use error::EngineError;
@@ -85,7 +88,8 @@ pub use planner::{Planner, PlannerConfig, QueryPlanner, TableStats};
 pub use profile::{chrome_trace, QueryProfile};
 pub use remote::{NodeServer, ProcessCluster, ProcessClusterConfig, RemoteEngineConfig};
 pub use serve::{
-    ArrivalProcess, CancelToken, StopReason, SubmitOptions, TenantConfig, TenantId, TenantMetrics,
+    ArrivalProcess, CancelToken, DispatchConfig, StopReason, SubmitOptions, TenantConfig, TenantId,
+    TenantMetrics,
 };
 pub use session::{Session, SessionBuilder};
 pub use stats::{ColumnStats, FeedbackCache, StatsCatalog, StatsMode, TableStatistics};

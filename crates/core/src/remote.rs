@@ -1,15 +1,20 @@
-//! Out-of-process clusters: the `hsqp-node` server and the coordinator.
+//! Out-of-process clusters: the `hsqp-node` server and its node set.
 //!
 //! Everything else in the engine simulates a cluster inside one process;
 //! this module runs the same SPMD plans across *real OS processes*
 //! connected by real TCP sockets. A [`NodeServer`] is one database server:
 //! it listens on a port, joins the mesh
 //! ([`SocketTransport`]), generates its share
-//! of TPC-H locally, and executes its share of every stage shipped to it.
-//! A [`ProcessCluster`] is the coordinator: it plans centrally, ships
-//! serialized stages ([`crate::serial`]) to every node, binds parameter
-//! stages, and collects the gathered result from node 0 — the paper's
-//! coordinator/worker split, §4.
+//! of TPC-H locally, and executes its share of every stage shipped to it
+//! through the same per-node stage executor the in-process nodes run.
+//! A [`ProcessCluster`] is the coordinator side: the same
+//! [`Coordinator`] the in-process [`Cluster`](crate::cluster::Cluster)
+//! uses — tenant queues, weighted-fair dispatch, query handles with
+//! cancel, the stage loop with validation, parameter binding and adaptive
+//! feedback — driving the nodes over one control connection each. It
+//! ships serialized stages ([`crate::serial`]) to every node and collects
+//! the gathered result from node 0: the paper's coordinator/worker split,
+//! §4.
 //!
 //! # Control protocol
 //!
@@ -24,7 +29,7 @@
 //! | `Load` (scale factor) | `LoadOk` (local rows per table) |
 //! | `Stage` (query, stage index, params, serialized stage) | `StageDone` (rows, node 0 attaches the table) or `StageFail` |
 //! | `Retire` (query) | `RetireOk` (per-query bytes/messages) |
-//! | `Abort` (query) | — |
+//! | `Abort` (query) | — (trips the query's token, aborts its exchanges) |
 //! | `Stats` | `StatsOk` (node socket counters) |
 //! | `Shutdown` | — (the node process exits) |
 //!
@@ -42,11 +47,14 @@
 //! multiplexer kills every in-flight query on that hub) and the
 //! coordinator's control reader fails all pending queries — either way
 //! the coordinator returns [`EngineError::Execution`] instead of hanging.
+//! A cancelled query (or one past its deadline) is noticed by the
+//! dispatcher waiting on its stage replies, which sends `Abort` and then
+//! `Retire`.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -61,26 +69,24 @@ use hsqp_net::{
     Fabric, FabricConfig, NetStats, NodeId, QueryId, QueryNetStats, QueryStatsRegistry,
     SocketConfig, SocketTransport,
 };
-use hsqp_numa::{AllocPolicy, CostModel, SocketId, Topology};
+use hsqp_numa::{AllocPolicy, SocketId};
 use hsqp_storage::placement::chunk_split;
-use hsqp_storage::{decimal_to_f64, DataType, Schema, Table, Value};
+use hsqp_storage::{Table, Value};
 use hsqp_tpch::{TpchDb, TpchTable};
 
-use crate::cluster::{panic_message, QueryResult};
-use crate::error::EngineError;
-use crate::exchange::{
-    encode_header, spawn_multiplexer, MessagePool, MuxCmd, MuxConfig, RecvHub, FLAG_ABORT,
-    HEADER_LEN,
+use crate::coordinator::{
+    compile_on_node, execute_on_node, Coordinator, NodeSet, StageJob, StageOutput,
 };
-use crate::exec::{NodeCtx, NodeExec};
-use crate::local::MorselDriver;
-use crate::planner::QueryPlanner;
-use crate::queries::{Query, QueryStage, StageRole};
+use crate::error::EngineError;
+use crate::exchange::{encode_header, MuxCmd, FLAG_ABORT, HEADER_LEN};
+use crate::exec::{NodeCtx, NodeSpec};
+use crate::profile::StageRecorder;
+use crate::queries::QueryStage;
 use crate::serial::{
     self, decode_stage_tagged, decode_table, decode_values, encode_stage_tagged, encode_table,
     encode_values, Rd,
 };
-use crate::serve::{CancelToken, SubmitOptions};
+use crate::serve::{CancelToken, DispatchConfig, TenantId};
 
 // Control-protocol opcodes (requests < 100, replies >= 100).
 const OP_JOIN: u8 = 0;
@@ -140,7 +146,7 @@ pub struct NodeServer {
 /// node deadlocks the other nodes), so each query gets its own thread fed
 /// through a channel that preserves stage order within the query.
 struct QueryWorker {
-    jobs: Sender<StageJob>,
+    jobs: Sender<ShippedStage>,
     handle: std::thread::JoinHandle<()>,
     stats: Arc<QueryNetStats>,
     /// Tripped by a coordinator `Abort` so in-flight morsel loops stop
@@ -148,8 +154,8 @@ struct QueryWorker {
     cancel: CancelToken,
 }
 
-struct StageJob {
-    stage_idx: u32,
+struct ShippedStage {
+    index: u32,
     stage: QueryStage,
     params: Vec<Value>,
     /// Remaining deadline budget shipped by the coordinator, microseconds
@@ -222,58 +228,28 @@ impl NodeServer {
         )?;
         let net_stats = Arc::clone(transport.stats());
 
-        // Build the node context exactly like `Cluster::start` builds one
-        // simulated node, with the real-socket transport plugged in and no
-        // network scheduling (the in-process `NetScheduler` is a
-        // shared-memory barrier; real clusters run uncoordinated).
-        let cores_per_socket = workers.div_ceil(sockets).max(1);
-        let topology = Arc::new(Topology::new(
-            sockets,
-            cores_per_socket,
-            CostModel::new(0.0),
-        ));
-        let hub = RecvHub::new(sockets as usize);
-        let fabric = Arc::new(Fabric::new(nodes, FabricConfig::default()));
-        let pool = Arc::new(MessagePool::new(
-            Arc::clone(&fabric),
-            NodeId(node),
-            sockets,
-            message_capacity,
-        ));
-        let query_stats = Arc::new(QueryStatsRegistry::new());
-        let mux_cfg = MuxConfig {
+        // The same node recipe as a simulated node, with the real-socket
+        // transport plugged in and no network scheduling (the in-process
+        // `NetScheduler` is a shared-memory barrier; real clusters run
+        // uncoordinated).
+        let spec = NodeSpec {
             node: NodeId(node),
             nodes,
-            scheduling: false,
-            batch_per_phase: 8,
-            classic_units: None,
+            workers,
             sockets,
+            message_capacity,
+            classic_units: None,
             alloc_policy: AllocPolicy::NumaAware,
+            numa_cost_ns: 0.0,
         };
-        let (to_mux, mux_handle) = spawn_multiplexer(
-            mux_cfg,
+        let query_stats = Arc::new(QueryStatsRegistry::new());
+        let (ctx, mux_handle) = NodeCtx::start(
+            &spec,
             Box::new(transport),
-            Arc::clone(&hub),
-            Arc::clone(&pool),
+            Arc::new(Fabric::new(nodes, FabricConfig::default())),
             None,
             Arc::clone(&query_stats),
         );
-        let ctx = Arc::new(NodeCtx {
-            node: NodeId(node),
-            nodes,
-            driver: MorselDriver::new(workers, &topology, hsqp_storage::table::MORSEL_SIZE, true),
-            topology,
-            alloc_policy: AllocPolicy::NumaAware,
-            classic_units: None,
-            message_capacity,
-            pool,
-            hub,
-            to_mux: to_mux.clone(),
-            tables: RwLock::new(HashMap::new()),
-            temps: RwLock::new(HashMap::new()),
-            consume_loads: parking_lot::Mutex::new(Vec::new()),
-            fabric,
-        });
 
         let writer = Arc::new(Mutex::new(control.try_clone()?));
         send_reply(&writer, |out| serial::put_u8(out, OP_JOIN_OK))?;
@@ -314,7 +290,7 @@ impl NodeServer {
             drop(w.jobs);
             let _ = w.handle.join();
         }
-        let _ = to_mux.send(MuxCmd::Shutdown);
+        let _ = ctx.to_mux.send(MuxCmd::Shutdown);
         let _ = mux_handle.join();
         Ok(())
     }
@@ -355,7 +331,7 @@ impl NodeServer {
             }
             OP_STAGE => {
                 let query = r.u32()?;
-                let stage_idx = r.u32()?;
+                let index = r.u32()?;
                 let params_len = r.u32()? as usize;
                 let params = decode_values(r.take(params_len)?)?;
                 let stage_len = r.u32()? as usize;
@@ -370,8 +346,8 @@ impl NodeServer {
                 });
                 worker
                     .jobs
-                    .send(StageJob {
-                        stage_idx,
+                    .send(ShippedStage {
+                        index,
                         stage: envelope.stage,
                         params,
                         deadline_us: envelope.deadline_us,
@@ -444,7 +420,7 @@ fn spawn_query_worker(
     writer: Arc<Mutex<TcpStream>>,
     stats: Arc<QueryNetStats>,
 ) -> QueryWorker {
-    let (jobs, rx): (Sender<StageJob>, Receiver<StageJob>) = unbounded();
+    let (jobs, rx): (Sender<ShippedStage>, Receiver<ShippedStage>) = unbounded();
     let cancel = CancelToken::new();
     let token = cancel.clone();
     let handle = std::thread::Builder::new()
@@ -462,76 +438,41 @@ fn spawn_query_worker(
 fn run_query_worker(
     ctx: &NodeCtx,
     query: QueryId,
-    rx: &Receiver<StageJob>,
+    rx: &Receiver<ShippedStage>,
     writer: &Arc<Mutex<TcpStream>>,
     cancel: &CancelToken,
 ) {
-    // Schemas of temps this query materialized, for local stage compilation
-    // (deterministic: every node compiles the same plan against the same
-    // generated base schemas).
-    let mut temp_schemas: HashMap<String, Schema> = HashMap::new();
-    while let Ok(job) = rx.recv() {
-        let outcome = if ctx.hub.is_aborted(query) {
-            Err("query aborted".to_string())
-        } else {
-            let base = |t: TpchTable| ctx.tables.read().get(&t).map(|tbl| tbl.schema().clone());
-            let (compiled, out_schema) =
-                crate::vm::compile_stage(&job.stage.plan, &base, &temp_schemas);
-            let programs = (!compiled.is_empty()).then_some(&compiled);
-            // The per-stage token shares the coordinator-abort tripwire and
-            // adds this stage's remaining deadline budget, so morsel loops
-            // stop within one morsel of either signal.
-            let stage_cancel = cancel.child_with_deadline(
-                job.deadline_us
-                    .map(|us| Instant::now() + Duration::from_micros(us)),
-            );
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                NodeExec::new(ctx, query, &job.params, job.stage_idx * 100_000)
-                    .with_programs(programs)
-                    .with_cancel(Some(&stage_cancel))
-                    .execute(&job.stage.plan)
-            }))
-            .map(|batch| (batch, out_schema))
-            .map_err(|payload| panic_message(payload.as_ref()))
+    while let Ok(shipped) = rx.recv() {
+        // The per-stage token shares the coordinator-abort tripwire and
+        // adds this stage's remaining deadline budget, so morsel loops
+        // stop within one morsel of either signal.
+        let stage_cancel = cancel.child_with_deadline(
+            shipped
+                .deadline_us
+                .map(|us| Instant::now() + Duration::from_micros(us)),
+        );
+        let job = StageJob {
+            query,
+            index: shipped.index,
+            stage: &shipped.stage,
+            params: &shipped.params,
+            cancel: &stage_cancel,
         };
-        match outcome {
-            Ok((batch, out_schema)) => {
-                let rows = batch.rows() as u64;
-                let table = match &job.stage.role {
-                    StageRole::Materialize(name) => {
-                        if let Some(s) = out_schema {
-                            temp_schemas.insert(name.clone(), s);
-                        }
-                        ctx.temps
-                            .write()
-                            .entry(query)
-                            .or_default()
-                            .insert(name.clone(), batch.into_arc());
-                        None
+        let programs = compile_on_node(ctx, query, &shipped.stage.plan);
+        let sent = match execute_on_node(ctx, &job, programs.as_ref(), None) {
+            Ok(out) => send_reply(writer, |buf| {
+                serial::put_u8(buf, OP_STAGE_DONE);
+                serial::put_u32(buf, query.0);
+                serial::put_u32(buf, shipped.index);
+                serial::put_u64(buf, out.rows);
+                match &out.table {
+                    Some(t) => {
+                        serial::put_u8(buf, 1);
+                        buf.extend_from_slice(&encode_table(t));
                     }
-                    // Only node 0 holds the gathered output; shipping the
-                    // other nodes' empty remainders would be wasted bytes.
-                    StageRole::Params | StageRole::Result => {
-                        (ctx.node.0 == 0).then(|| batch.into_table())
-                    }
-                };
-                let r = send_reply(writer, |out| {
-                    serial::put_u8(out, OP_STAGE_DONE);
-                    serial::put_u32(out, query.0);
-                    serial::put_u32(out, job.stage_idx);
-                    serial::put_u64(out, rows);
-                    match &table {
-                        Some(t) => {
-                            serial::put_u8(out, 1);
-                            out.extend_from_slice(&encode_table(t));
-                        }
-                        None => serial::put_u8(out, 0),
-                    }
-                });
-                if r.is_err() {
-                    return; // coordinator gone
+                    None => serial::put_u8(buf, 0),
                 }
-            }
+            }),
             Err(msg) => {
                 // The cross-node abort protocol: unblock local consumers,
                 // then tell every peer so their blocked pops panic out
@@ -550,16 +491,16 @@ fn run_query_worker(
                         });
                     }
                 }
-                let r = send_reply(writer, |out| {
-                    serial::put_u8(out, OP_STAGE_FAIL);
-                    serial::put_u32(out, query.0);
-                    serial::put_u32(out, job.stage_idx);
-                    serial::put_str(out, &msg);
-                });
-                if r.is_err() {
-                    return;
-                }
+                send_reply(writer, |buf| {
+                    serial::put_u8(buf, OP_STAGE_FAIL);
+                    serial::put_u32(buf, query.0);
+                    serial::put_u32(buf, shipped.index);
+                    serial::put_str(buf, &msg);
+                })
             }
+        };
+        if sent.is_err() {
+            return; // coordinator gone
         }
     }
 }
@@ -569,7 +510,7 @@ fn run_query_worker(
 // ---------------------------------------------------------------------------
 
 /// Coordinator-side configuration for an out-of-process cluster.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ProcessClusterConfig {
     /// Engine knobs shipped to every node.
     pub engine: RemoteEngineConfig,
@@ -578,6 +519,9 @@ pub struct ProcessClusterConfig {
     /// Watchdog for any single control reply; a cluster that goes silent
     /// longer than this fails the query instead of hanging forever.
     pub reply_timeout: Duration,
+    /// Dispatcher slots and pre-registered tenants (the same settings the
+    /// in-process [`ClusterConfig`](crate::cluster::ClusterConfig) uses).
+    pub dispatch: DispatchConfig,
 }
 
 impl Default for ProcessClusterConfig {
@@ -586,24 +530,21 @@ impl Default for ProcessClusterConfig {
             engine: RemoteEngineConfig::default(),
             connect_timeout: Duration::from_secs(10),
             reply_timeout: Duration::from_secs(60),
+            dispatch: DispatchConfig::default(),
         }
     }
 }
 
-/// Where one query execution gets its stages from: a pre-planned physical
-/// [`Query`], or an adaptive [`QueryPlanner`] that lowers each stage only
-/// after the previous one's observed cardinalities were fed back.
-enum StageFeed<'a> {
-    Fixed(&'a Query),
-    Adaptive(&'a mut QueryPlanner),
-}
+/// How often a dispatcher waiting on stage replies re-checks the query's
+/// cancellation token.
+const CANCEL_POLL: Duration = Duration::from_millis(10);
 
-/// A control reply routed to the query (or control op) that awaits it.
+/// A control reply routed to the query that awaits it.
 enum NodeReply {
     StageDone {
         stage: u32,
         /// The node's local result cardinality for the stage, fed back to
-        /// the adaptive planner in [`StatsMode::Feedback`].
+        /// the adaptive planner.
         rows: u64,
         table: Option<Table>,
     },
@@ -626,9 +567,12 @@ enum CtlReply {
     StatsOk(u64, u64, u64, u64),
 }
 
+type ReplyChannel = (Sender<(usize, NodeReply)>, Receiver<(usize, NodeReply)>);
+
 struct CoordShared {
-    /// Per-query reply channels, keyed by query id.
-    pending: Mutex<HashMap<u32, Sender<(usize, NodeReply)>>>,
+    /// Per-query reply channels, keyed by query id, from a query's first
+    /// shipped stage until it retires.
+    pending: Mutex<HashMap<u32, ReplyChannel>>,
     /// Channel for Load/Stats replies (one control op at a time).
     ctl_tx: Sender<(usize, CtlReply)>,
     /// Set as soon as any node's control connection dies.
@@ -641,21 +585,197 @@ struct NodeConn {
     stream: TcpStream,
 }
 
-/// Coordinator for a cluster of out-of-process [`NodeServer`]s.
-///
-/// Thread-safe: [`run`](Self::run) can be called from many closed-loop
-/// client threads at once; replies are demultiplexed per query id, exactly
-/// like the in-process dispatcher's concurrent queries.
-pub struct ProcessCluster {
+/// The `hsqp-node` control connections as a [`NodeSet`].
+struct RemoteNodes {
     conns: Vec<NodeConn>,
     shared: Arc<CoordShared>,
+    reply_timeout: Duration,
+}
+
+impl RemoteNodes {
+    fn broadcast(&self, frame: &[u8]) -> Result<(), EngineError> {
+        for (i, conn) in self.conns.iter().enumerate() {
+            let mut w = conn.writer.lock();
+            write_frame(&mut *w, frame)
+                .and_then(|()| w.flush())
+                .map_err(|e| EngineError::Execution(format!("node {i} unreachable: {e}")))?;
+        }
+        Ok(())
+    }
+
+    /// Send a query-addressed control request (`Abort`, `Retire`).
+    fn broadcast_query(&self, op: u8, query: QueryId) -> Result<(), EngineError> {
+        let mut frame = Vec::new();
+        serial::put_u8(&mut frame, op);
+        serial::put_u32(&mut frame, query.0);
+        self.broadcast(&frame)
+    }
+}
+
+impl NodeSet for RemoteNodes {
+    fn nodes(&self) -> u16 {
+        self.conns.len() as u16
+    }
+
+    /// Ship the serialized stage to every node and collect their replies.
+    /// The query's token is polled while waiting, so a cancel or a passed
+    /// deadline fails the stage promptly; the coordinator then aborts the
+    /// query on the nodes.
+    fn run_stage(
+        &self,
+        job: &StageJob<'_>,
+        tenant: &TenantId,
+        _recorder: Option<&StageRecorder>,
+    ) -> Result<StageOutput, EngineError> {
+        // Register before checking liveness: a node dying after the check
+        // then still reaches this query as `NodeDown`.
+        let rx = {
+            let mut pending = self.shared.pending.lock();
+            pending
+                .entry(job.query.0)
+                .or_insert_with(unbounded)
+                .1
+                .clone()
+        };
+        if self.shared.dead.load(Ordering::SeqCst) {
+            return Err(EngineError::Execution("a cluster node is down".into()));
+        }
+        // Ship the remaining budget, not the absolute deadline: the node
+        // processes' clocks are not synchronized with ours.
+        let remaining = match job.cancel.deadline() {
+            Some(dl) => {
+                let left = dl.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(EngineError::DeadlineExceeded);
+                }
+                Some(left.as_micros() as u64)
+            }
+            None => None,
+        };
+        let mut frame = Vec::new();
+        serial::put_u8(&mut frame, OP_STAGE);
+        serial::put_u32(&mut frame, job.query.0);
+        serial::put_u32(&mut frame, job.index);
+        let params_bytes = encode_values(job.params);
+        serial::put_u32(&mut frame, params_bytes.len() as u32);
+        frame.extend_from_slice(&params_bytes);
+        let stage_bytes = encode_stage_tagged(job.stage, Some(tenant.as_str()), remaining);
+        serial::put_u32(&mut frame, stage_bytes.len() as u32);
+        frame.extend_from_slice(&stage_bytes);
+        self.broadcast(&frame)?;
+
+        let n = self.conns.len();
+        let mut rows: Vec<Option<u64>> = vec![None; n];
+        let mut table = None;
+        let silent_after = Instant::now() + self.reply_timeout;
+        while rows.iter().any(Option::is_none) {
+            if let Some(reason) = job.cancel.should_stop() {
+                return Err(reason.into_error());
+            }
+            let (node, reply) = match rx.recv_timeout(CANCEL_POLL) {
+                Ok(r) => r,
+                Err(_) if Instant::now() < silent_after => continue,
+                Err(_) => {
+                    return Err(EngineError::Execution(format!(
+                        "stage {} of q{} timed out after {:?}",
+                        job.index, job.query.0, self.reply_timeout
+                    )))
+                }
+            };
+            match reply {
+                NodeReply::StageDone {
+                    stage,
+                    rows: r,
+                    table: t,
+                } if stage == job.index => {
+                    rows[node] = Some(r);
+                    if node == 0 {
+                        table = t;
+                    }
+                }
+                NodeReply::StageFail { stage, msg } if stage == job.index => {
+                    // A node that stopped at its shipped deadline fails
+                    // with the token's panic message: report the typed
+                    // error the coordinator's own token now records.
+                    return Err(match job.cancel.should_stop() {
+                        Some(reason) => reason.into_error(),
+                        None => EngineError::Execution(format!(
+                            "node {node} failed stage {}: {msg}",
+                            job.index
+                        )),
+                    });
+                }
+                NodeReply::NodeDown(msg) => {
+                    return Err(EngineError::Execution(format!(
+                        "node {node} died mid-query: {msg}"
+                    )));
+                }
+                // Stale replies (a late RetireOk, a reply of an earlier
+                // stage) are dropped.
+                _ => {}
+            }
+        }
+        Ok(StageOutput {
+            rows: rows.into_iter().map(Option::unwrap_or_default).collect(),
+            table,
+            programs: None,
+        })
+    }
+
+    /// Ordered before `Retire` on each control connection, so every node
+    /// unwedges the query before it is asked to release it.
+    fn abort(&self, query: QueryId) {
+        if self.shared.pending.lock().contains_key(&query.0) {
+            let _ = self.broadcast_query(OP_ABORT, query);
+        }
+    }
+
+    /// Best-effort: dead nodes simply do not report. A query that never
+    /// shipped a stage holds nothing on the nodes.
+    fn retire(&self, query: QueryId, stats: &QueryNetStats) {
+        let Some((_, rx)) = self.shared.pending.lock().get(&query.0).cloned() else {
+            return;
+        };
+        if self.broadcast_query(OP_RETIRE, query).is_ok() {
+            let mut acked = 0;
+            let deadline = Instant::now() + self.reply_timeout;
+            while acked < self.conns.len() && Instant::now() < deadline {
+                match rx.recv_timeout(Duration::from_millis(200)) {
+                    Ok((_, NodeReply::RetireOk { bytes, msgs })) => {
+                        stats.add(bytes, msgs);
+                        acked += 1;
+                    }
+                    Ok((_, NodeReply::NodeDown(_))) => acked += 1,
+                    Ok(_) => {} // stray stage replies of the aborted query
+                    Err(_) if self.shared.dead.load(Ordering::SeqCst) => break,
+                    Err(_) => {}
+                }
+            }
+        }
+        self.shared.pending.lock().remove(&query.0);
+    }
+}
+
+/// Coordinator for a cluster of out-of-process [`NodeServer`]s.
+///
+/// Dereferences to its [`Coordinator`], exactly like the in-process
+/// [`Cluster`](crate::cluster::Cluster): queries are submitted, queued per
+/// tenant, cancelled and accounted the same way, and replies from the
+/// nodes are demultiplexed per query id.
+pub struct ProcessCluster {
+    coord: Coordinator,
+    nodes: Arc<RemoteNodes>,
     ctl_rx: Mutex<Receiver<(usize, CtlReply)>>,
-    readers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    next_query: AtomicU32,
+    readers: Vec<std::thread::JoinHandle<()>>,
     table_rows: RwLock<HashMap<TpchTable, u64>>,
-    query_stats: Arc<QueryStatsRegistry>,
-    cfg: ProcessClusterConfig,
-    down: AtomicBool,
+}
+
+impl std::ops::Deref for ProcessCluster {
+    type Target = Coordinator;
+
+    fn deref(&self) -> &Coordinator {
+        &self.coord
+    }
 }
 
 impl ProcessCluster {
@@ -666,6 +786,7 @@ impl ProcessCluster {
         if addrs.is_empty() {
             return Err(EngineError::Config("need at least one node address".into()));
         }
+        cfg.dispatch.validate()?;
         let nodes = addrs.len() as u16;
         let io_err = |what: &str, e: io::Error| {
             EngineError::Execution(format!("cluster connect: {what}: {e}"))
@@ -731,22 +852,31 @@ impl ProcessCluster {
                     .expect("spawn coordinator reader"),
             );
         }
-        Ok(Self {
+        let nodes = Arc::new(RemoteNodes {
             conns,
             shared,
+            reply_timeout: cfg.reply_timeout,
+        });
+        // The nodes record no spans the coordinator could merge, so the
+        // coordinator keeps no profiles.
+        let coord = Coordinator::start(
+            Arc::clone(&nodes) as Arc<dyn NodeSet>,
+            Arc::new(QueryStatsRegistry::new()),
+            &cfg.dispatch,
+            false,
+        );
+        Ok(Self {
+            coord,
+            nodes,
             ctl_rx: Mutex::new(ctl_rx),
-            readers: Mutex::new(readers),
-            next_query: AtomicU32::new(0),
+            readers,
             table_rows: RwLock::new(HashMap::new()),
-            query_stats: Arc::new(QueryStatsRegistry::new()),
-            cfg,
-            down: AtomicBool::new(false),
         })
     }
 
     /// Cluster size.
     pub fn nodes(&self) -> u16 {
-        self.conns.len() as u16
+        self.nodes.conns.len() as u16
     }
 
     /// Have every node generate TPC-H at `sf` and keep its chunk. Returns
@@ -758,11 +888,11 @@ impl ProcessCluster {
         let mut frame = Vec::new();
         serial::put_u8(&mut frame, OP_LOAD);
         serial::put_f64(&mut frame, sf);
-        self.broadcast(&frame)?;
+        self.nodes.broadcast(&frame)?;
         // Data generation is CPU-bound and scales with sf; be generous.
-        let deadline = self.cfg.reply_timeout.max(Duration::from_secs(600));
+        let deadline = self.nodes.reply_timeout.max(Duration::from_secs(600));
         let mut totals: HashMap<TpchTable, u64> = HashMap::new();
-        for _ in 0..self.conns.len() {
+        for _ in 0..self.nodes.conns.len() {
             match ctl.recv_timeout(deadline) {
                 Ok((_, CtlReply::LoadOk(rows))) => {
                     for (name, n) in rows {
@@ -795,10 +925,10 @@ impl ProcessCluster {
     pub fn net_stats(&self) -> Result<(u64, u64, u64, u64), EngineError> {
         self.ensure_up()?;
         let ctl = self.ctl_rx.lock();
-        self.broadcast(&[OP_STATS])?;
+        self.nodes.broadcast(&[OP_STATS])?;
         let mut sums = (0u64, 0u64, 0u64, 0u64);
-        for _ in 0..self.conns.len() {
-            match ctl.recv_timeout(self.cfg.reply_timeout) {
+        for _ in 0..self.nodes.conns.len() {
+            match ctl.recv_timeout(self.nodes.reply_timeout) {
                 Ok((_, CtlReply::StatsOk(bs, br, ms, mr))) => {
                     sums.0 += bs;
                     sums.1 += br;
@@ -816,300 +946,26 @@ impl ProcessCluster {
         Ok(sums)
     }
 
-    /// Run a multi-stage query across the node processes and gather the
-    /// result, mirroring the in-process driver's stage loop: parameter
-    /// stages bind their first result row, materialization stages leave
-    /// per-node temps behind, the final stage's gathered table comes back
-    /// from node 0.
-    pub fn run(&self, query: &Query) -> Result<QueryResult, EngineError> {
-        self.run_with(query, &SubmitOptions::default())
-    }
-
-    /// [`run`](Self::run) with serving-layer options: the submitting
-    /// tenant is shipped to the nodes for observability and an optional
-    /// deadline bounds the whole query — each stage carries the remaining
-    /// budget, node-side morsel loops stop within one morsel of it
-    /// elapsing, and the coordinator returns
-    /// [`EngineError::DeadlineExceeded`] after aborting and retiring the
-    /// query on every node.
-    pub fn run_with(
-        &self,
-        query: &Query,
-        opts: &SubmitOptions,
-    ) -> Result<QueryResult, EngineError> {
-        if query.stages.is_empty() {
-            return Err(EngineError::Planner(
-                "query needs at least one stage".into(),
-            ));
-        }
-        self.run_inner(&mut StageFeed::Fixed(query), opts)
-    }
-
-    /// Run a query planned stage-at-a-time by an adaptive
-    /// [`QueryPlanner`]: after each stage completes, the per-node observed
-    /// cardinalities are fed back so later stages (in
-    /// [`StatsMode::Feedback`](crate::stats::StatsMode)) are lowered
-    /// against actuals instead of static estimates.
-    pub fn run_adaptive(
-        &self,
-        mut planner: QueryPlanner,
-        opts: &SubmitOptions,
-    ) -> Result<QueryResult, EngineError> {
-        self.run_inner(&mut StageFeed::Adaptive(&mut planner), opts)
-    }
-
-    fn run_inner(
-        &self,
-        feed: &mut StageFeed<'_>,
-        opts: &SubmitOptions,
-    ) -> Result<QueryResult, EngineError> {
-        self.ensure_up()?;
-        let start = Instant::now();
-        let deadline = opts.deadline.map(|d| start + d);
-        let id = self.next_query.fetch_add(1, Ordering::Relaxed);
-        let stats = self.query_stats.register(QueryId(id));
-        let (tx, rx) = unbounded();
-        self.shared.pending.lock().insert(id, tx);
-
-        let mut outcome = self.run_stages(id, feed, opts, deadline, &rx);
-        if outcome.is_err() && !self.down.load(Ordering::SeqCst) {
-            // Unwedge every node first (ordered before Retire on each
-            // control connection), then clean up.
-            let mut abort = Vec::new();
-            serial::put_u8(&mut abort, OP_ABORT);
-            serial::put_u32(&mut abort, id);
-            let _ = self.broadcast(&abort);
-        }
-        self.retire(id, &rx, &stats);
-        self.shared.pending.lock().remove(&id);
-        self.query_stats.retire(QueryId(id));
-
-        // A node that stopped at its shipped deadline reports StageFail
-        // with the token's panic message; fold that back into the typed
-        // error the in-process driver returns for the same condition.
-        if let Err(EngineError::Execution(_)) = &outcome {
-            if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                outcome = Err(EngineError::DeadlineExceeded);
-            }
-        }
-
-        let table = outcome?;
-        Ok(QueryResult {
-            query: QueryId(id),
-            table,
-            elapsed: start.elapsed(),
-            queue_wait: Duration::ZERO,
-            bytes_shuffled: stats.bytes_sent(),
-            messages_sent: stats.messages_sent(),
-            profile: None,
-        })
-    }
-
-    fn run_stages(
-        &self,
-        id: u32,
-        feed: &mut StageFeed<'_>,
-        opts: &SubmitOptions,
-        deadline: Option<Instant>,
-        rx: &Receiver<(usize, NodeReply)>,
-    ) -> Result<Table, EngineError> {
-        if self.shared.dead.load(Ordering::SeqCst) {
-            return Err(EngineError::Execution("a cluster node is down".into()));
-        }
-        let n = self.conns.len();
-        let mut params: Vec<Value> = Vec::new();
-        let mut final_table: Option<Table> = None;
-        let mut stage_idx = 0usize;
-        loop {
-            let stage: QueryStage = match &mut *feed {
-                StageFeed::Adaptive(qp) => match qp.next_stage()? {
-                    None => break,
-                    Some(s) => s,
-                },
-                StageFeed::Fixed(q) => {
-                    if stage_idx >= q.stages.len() {
-                        break;
-                    }
-                    q.stages[stage_idx].clone()
-                }
-            };
-            // Ship the remaining budget, not the absolute deadline: the
-            // node processes' clocks are not synchronized with ours.
-            let remaining = match deadline {
-                Some(dl) => {
-                    let left = dl.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(EngineError::DeadlineExceeded);
-                    }
-                    Some(left)
-                }
-                None => None,
-            };
-            let mut frame = Vec::new();
-            serial::put_u8(&mut frame, OP_STAGE);
-            serial::put_u32(&mut frame, id);
-            serial::put_u32(&mut frame, stage_idx as u32);
-            let params_bytes = encode_values(&params);
-            serial::put_u32(&mut frame, params_bytes.len() as u32);
-            frame.extend_from_slice(&params_bytes);
-            let stage_bytes = encode_stage_tagged(
-                &stage,
-                Some(opts.tenant.as_str()),
-                remaining.map(|d| d.as_micros() as u64),
-            );
-            serial::put_u32(&mut frame, stage_bytes.len() as u32);
-            frame.extend_from_slice(&stage_bytes);
-            self.broadcast(&frame)?;
-
-            let mut done = vec![false; n];
-            let mut node_rows = vec![0u64; n];
-            let mut node0_table: Option<Table> = None;
-            while done.iter().any(|d| !d) {
-                // Wait no longer than the deadline allows; the nodes stop
-                // themselves too, this is the coordinator-side backstop.
-                let wait = match deadline {
-                    Some(dl) => self
-                        .cfg
-                        .reply_timeout
-                        .min(dl.saturating_duration_since(Instant::now())),
-                    None => self.cfg.reply_timeout,
-                };
-                let (node, reply) = rx.recv_timeout(wait).map_err(|_| {
-                    if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                        EngineError::DeadlineExceeded
-                    } else {
-                        EngineError::Execution(format!(
-                            "stage {stage_idx} of q{id} timed out after {:?}",
-                            self.cfg.reply_timeout
-                        ))
-                    }
-                })?;
-                match reply {
-                    NodeReply::StageDone { stage, rows, table } if stage == stage_idx as u32 => {
-                        done[node] = true;
-                        node_rows[node] = rows;
-                        if node == 0 {
-                            node0_table = table;
-                        }
-                    }
-                    NodeReply::StageFail { stage, msg } if stage == stage_idx as u32 => {
-                        return Err(EngineError::Execution(format!(
-                            "node {node} failed stage {stage_idx}: {msg}"
-                        )));
-                    }
-                    NodeReply::NodeDown(msg) => {
-                        return Err(EngineError::Execution(format!(
-                            "node {node} died mid-query: {msg}"
-                        )));
-                    }
-                    // Stale replies (earlier stage of a restarted loop, a
-                    // late RetireOk) are dropped.
-                    _ => {}
-                }
-            }
-
-            match &stage.role {
-                StageRole::Result => {
-                    final_table = Some(node0_table.ok_or_else(|| {
-                        EngineError::Execution("node 0 returned no result table".into())
-                    })?);
-                }
-                StageRole::Params => {
-                    let t = node0_table.ok_or_else(|| {
-                        EngineError::Execution("node 0 returned no parameter table".into())
-                    })?;
-                    if t.rows() == 0 {
-                        return Err(EngineError::Execution(
-                            "parameter stage produced no rows".into(),
-                        ));
-                    }
-                    for c in 0..t.schema().len() {
-                        // Decimal scalars bind as promoted floats, exactly
-                        // like the in-process driver.
-                        let v = match (t.schema().fields()[c].dtype, t.value(0, c)) {
-                            (DataType::Decimal, Value::I64(cents)) => {
-                                Value::F64(decimal_to_f64(cents))
-                            }
-                            (_, v) => v,
-                        };
-                        params.push(v);
-                    }
-                }
-                StageRole::Materialize(_) => {}
-            }
-
-            if let StageFeed::Adaptive(qp) = &mut *feed {
-                qp.observe_rows(&node_rows);
-            }
-            stage_idx += 1;
-        }
-        final_table.ok_or_else(|| EngineError::Planner("query has no result stage".into()))
-    }
-
-    /// Release the query's state on every node and fold the per-node
-    /// network counters it reports into `stats`. Best-effort: dead nodes
-    /// simply do not report.
-    fn retire(&self, id: u32, rx: &Receiver<(usize, NodeReply)>, stats: &QueryNetStats) {
-        if self.down.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut frame = Vec::new();
-        serial::put_u8(&mut frame, OP_RETIRE);
-        serial::put_u32(&mut frame, id);
-        if self.broadcast(&frame).is_err() {
-            return;
-        }
-        let mut acked = 0;
-        let deadline = Instant::now() + self.cfg.reply_timeout;
-        while acked < self.conns.len() && Instant::now() < deadline {
-            match rx.recv_timeout(Duration::from_millis(200)) {
-                Ok((_, NodeReply::RetireOk { bytes, msgs })) => {
-                    stats.add(bytes, msgs);
-                    acked += 1;
-                }
-                Ok((_, NodeReply::NodeDown(_))) => acked += 1,
-                Ok(_) => {} // stray stage replies of the aborted query
-                Err(_) if self.shared.dead.load(Ordering::SeqCst) => return,
-                Err(_) => {}
-            }
-        }
-    }
-
-    fn broadcast(&self, frame: &[u8]) -> Result<(), EngineError> {
-        for (i, conn) in self.conns.iter().enumerate() {
-            let mut w = conn.writer.lock();
-            write_frame(&mut *w, frame)
-                .and_then(|()| w.flush())
-                .map_err(|e| EngineError::Execution(format!("node {i} unreachable: {e}")))?;
-        }
-        Ok(())
-    }
-
-    fn ensure_up(&self) -> Result<(), EngineError> {
-        if self.down.load(Ordering::SeqCst) {
-            return Err(EngineError::ClusterDown);
-        }
-        Ok(())
-    }
-
-    /// Shut the node processes down and disconnect.
+    /// Drain the coordinator (in-flight queries complete, queued ones fail
+    /// with [`EngineError::ClusterDown`]), then shut the node processes
+    /// down and disconnect.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        if self.down.swap(true, Ordering::SeqCst) {
+        if !self.coord.shutdown() {
             return;
         }
         let frame = [OP_SHUTDOWN];
-        for conn in &self.conns {
+        for conn in &self.nodes.conns {
             let mut w = conn.writer.lock();
             let _ = write_frame(&mut *w, &frame).and_then(|()| w.flush());
         }
-        for conn in &self.conns {
+        for conn in &self.nodes.conns {
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         }
-        for h in self.readers.lock().drain(..) {
+        for h in self.readers.drain(..) {
             let _ = h.join();
         }
     }
@@ -1131,7 +987,7 @@ fn coord_reader(node: usize, mut stream: TcpStream, shared: &CoordShared) {
             Err(e) => {
                 shared.dead.store(true, Ordering::SeqCst);
                 let msg = format!("control connection lost: {e}");
-                for tx in shared.pending.lock().values() {
+                for (tx, _) in shared.pending.lock().values() {
                     let _ = tx.send((node, NodeReply::NodeDown(msg.clone())));
                 }
                 return;
@@ -1193,7 +1049,7 @@ fn coord_reader(node: usize, mut stream: TcpStream, shared: &CoordShared) {
         if let Err(e) = routed {
             shared.dead.store(true, Ordering::SeqCst);
             let msg = format!("protocol error from node {node}: {e}");
-            for tx in shared.pending.lock().values() {
+            for (tx, _) in shared.pending.lock().values() {
                 let _ = tx.send((node, NodeReply::NodeDown(msg.clone())));
             }
             return;
@@ -1202,7 +1058,7 @@ fn coord_reader(node: usize, mut stream: TcpStream, shared: &CoordShared) {
 }
 
 fn route(shared: &CoordShared, node: usize, query: u32, reply: NodeReply) {
-    if let Some(tx) = shared.pending.lock().get(&query) {
+    if let Some((tx, _)) = shared.pending.lock().get(&query) {
         let _ = tx.send((node, reply));
     }
 }
@@ -1227,7 +1083,8 @@ fn dial_retry(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
 mod tests {
     use super::*;
     use crate::plan::Plan;
-    use crate::queries::tpch_query;
+    use crate::queries::{tpch_query, Query};
+    use crate::serve::SubmitOptions;
 
     /// Spawn `n` node servers on loopback threads and return their
     /// addresses (in-process stand-ins for `hsqp-node` child processes;
@@ -1255,20 +1112,34 @@ mod tests {
             crate::cluster::Cluster::start(crate::cluster::ClusterConfig::quick(2)).unwrap();
         local.load_tpch(0.001).unwrap();
 
+        // Same SF, node count and chunked placement: the gathered tables
+        // must hold the same rows, modulo row order (gather order follows
+        // message arrival) and float summation order.
+        let sorted_rows = |t: &Table| {
+            let mut rows: Vec<Vec<String>> = (0..t.rows())
+                .map(|r| {
+                    t.row(r)
+                        .into_iter()
+                        .map(|v| match v {
+                            Value::F64(x) => format!("{x:.2}"),
+                            v => v.to_string(),
+                        })
+                        .collect()
+                })
+                .collect();
+            rows.sort();
+            rows
+        };
         for qn in [1u32, 3, 6, 11] {
             let q = tpch_query(qn).unwrap();
             let remote = pc.run(&q).unwrap();
             let reference = local.run(&q).unwrap();
+            assert_eq!(remote.table.schema(), reference.table.schema(), "Q{qn}");
             assert_eq!(
-                remote.table.rows(),
-                reference.table.rows(),
-                "Q{qn} row count"
+                sorted_rows(&remote.table),
+                sorted_rows(&reference.table),
+                "Q{qn} rows"
             );
-            if qn != 1 {
-                // Q1 is single-node-gatherable only at larger SF; the join
-                // queries must actually shuffle.
-                continue;
-            }
         }
         local.shutdown();
         pc.shutdown();
@@ -1321,7 +1192,7 @@ mod tests {
         let ok = tpch_query(6).unwrap();
         let r = pc.run_with(&ok, &SubmitOptions::tenant("gold")).unwrap();
         assert!(r.table.rows() > 0);
-        assert_eq!(r.queue_wait, Duration::ZERO);
+        assert!(r.queue_wait <= r.elapsed);
         pc.shutdown();
     }
 

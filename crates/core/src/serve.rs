@@ -157,6 +157,51 @@ impl SubmitOptions {
     }
 }
 
+/// Dispatcher settings, the same on both cluster backends: how many
+/// queries run at once and which tenants are declared up front.
+#[derive(Debug, Clone)]
+pub struct DispatchConfig {
+    /// Queries the dispatcher runs concurrently; further submissions queue
+    /// (admission control).
+    pub max_concurrent: u16,
+    /// Pre-registered tenants with their scheduling weights and admission
+    /// caps. Tenants not listed here self-register with
+    /// [`TenantConfig::default`] (weight 1, no caps) on first submission.
+    pub tenants: Vec<(String, TenantConfig)>,
+}
+
+impl Default for DispatchConfig {
+    fn default() -> Self {
+        DispatchConfig {
+            max_concurrent: 4,
+            tenants: Vec::new(),
+        }
+    }
+}
+
+impl DispatchConfig {
+    /// `max_concurrent` slots and no pre-registered tenants.
+    pub fn slots(max_concurrent: u16) -> Self {
+        DispatchConfig {
+            max_concurrent,
+            ..DispatchConfig::default()
+        }
+    }
+
+    /// Reject a zero slot count and invalid tenant entitlements.
+    pub fn validate(&self) -> Result<(), EngineError> {
+        if self.max_concurrent == 0 {
+            return Err(EngineError::Config(
+                "need at least one concurrent query slot".into(),
+            ));
+        }
+        for (name, tenant) in &self.tenants {
+            tenant.validate(name)?;
+        }
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Cooperative cancellation
 // ---------------------------------------------------------------------------
@@ -511,8 +556,8 @@ impl<T> WdrrQueue<T> {
 // Per-tenant metrics rollup
 // ---------------------------------------------------------------------------
 
-/// Point-in-time per-tenant serving counters, rolled up from the cluster
-/// metrics registry (`tenant.<name>.*` instruments).
+/// Point-in-time per-tenant serving counters, rolled up from the
+/// coordinator's metrics registry (`tenant.<name>.*` instruments).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantMetrics {
     /// Tenant name.

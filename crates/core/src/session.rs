@@ -97,7 +97,7 @@ impl SessionBuilder {
     /// Queries the session runs concurrently (default 4); further
     /// [`submit`](Session::submit)ted queries queue for a slot.
     pub fn max_concurrent(mut self, queries: u16) -> Self {
-        self.cfg.max_concurrent = queries;
+        self.cfg.dispatch.max_concurrent = queries;
         self
     }
 
@@ -120,7 +120,7 @@ impl SessionBuilder {
     /// caps (tenants not declared here self-register with defaults on
     /// first submit — weight 1, no caps). Call once per tenant.
     pub fn tenant(mut self, name: &str, cfg: TenantConfig) -> Self {
-        self.cfg.tenants.push((name.to_string(), cfg));
+        self.cfg.dispatch.tenants.push((name.to_string(), cfg));
         self
     }
 

@@ -31,16 +31,19 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hsqp::engine::cluster::{Cluster, ClusterConfig, EngineKind, ExprEngine, Transport};
+use hsqp::engine::cluster::{
+    Cluster, ClusterConfig, Coordinator, EngineKind, ExprEngine, QueryHandle, Transport,
+};
 use hsqp::engine::logical::LogicalQuery;
 use hsqp::engine::planner::{Planner, PlannerConfig, TableStats};
 use hsqp::engine::queries::{tpch_logical, tpch_query, Query, StageRole, ALL_QUERIES};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig, RemoteEngineConfig};
-use hsqp::engine::serve::{parse_tenant_spec, ArrivalProcess, SubmitOptions, TenantConfig};
+use hsqp::engine::serve::{
+    parse_tenant_spec, ArrivalProcess, DispatchConfig, SubmitOptions, TenantConfig,
+};
 use hsqp::engine::stats::{FeedbackCache, StatsCatalog, StatsMode};
 use hsqp::engine::vm::compile_stage;
 use hsqp::engine::EngineError;
@@ -122,9 +125,11 @@ OPTIONS:
                            --open-loop (default poisson)
     --tenants <SPEC>       Comma-separated name:weight tenants, e.g.
                            gold:4,silver:1 (bare name = weight 1).
-                           Open-loop arrivals are attributed round-robin
-                           across them; the in-process dispatcher serves
-                           their queues by weighted deficit round-robin
+                           Open-loop arrivals (and closed-loop clients)
+                           are attributed round-robin across them; the
+                           coordinator serves their queues by weighted
+                           deficit round-robin, in process and over
+                           --cluster
     --deadline-ms <N>      Per-query deadline for --open-loop submissions;
                            overdue queries are cancelled cooperatively
                            within one morsel
@@ -143,9 +148,10 @@ OPTIONS:
     --profile <on|off>     Per-query span profiling (default on); off
                            removes even the profiler's atomic-counter
                            overhead for baseline measurements
-    --metrics              Print the cluster-wide metrics registry
-                           (dispatcher, admission wait, per-link bytes)
-                           after the run
+    --metrics              Print the coordinator's metrics registry
+                           (queries, dispatcher, admission wait, tenants;
+                           per-link bytes in process, socket-mesh totals
+                           with --cluster) after the run
     -h, --help             Show this help
 ";
 
@@ -422,12 +428,20 @@ fn cluster_config(args: &Args) -> Result<ClusterConfig, String> {
         expr_engine: args.expr_engine,
         numa_cost_ns: 0.0,
         message_capacity: args.message_kb * 1024,
-        max_concurrent: args.clients,
-        tenants: args.tenants.clone(),
+        dispatch: dispatch_config(args),
         // --analyze and --trace-out need profiles even under --profile off.
         profiling: args.profile || args.analyze || args.trace_out.is_some(),
         ..ClusterConfig::paper(args.nodes)
     })
+}
+
+/// Dispatcher slots (one per client) and the declared tenants — the same
+/// settings for both backends.
+fn dispatch_config(args: &Args) -> DispatchConfig {
+    DispatchConfig {
+        max_concurrent: args.clients,
+        tenants: args.tenants.clone(),
+    }
 }
 
 /// Minimal JSON string escaping for error messages embedded in the report.
@@ -595,8 +609,7 @@ fn json_f64(v: f64) -> String {
 struct Observation {
     query: u32,
     ms: f64,
-    /// Time the submission sat in the dispatcher queue before starting
-    /// (zero on the remote backend, which has no server-side queue).
+    /// Time the submission sat in the dispatcher queue before starting.
     queue_wait_ms: f64,
     rows: usize,
     bytes_shuffled: u64,
@@ -621,31 +634,12 @@ enum Backend {
 }
 
 impl Backend {
-    /// Run one planned query to completion, planning stage-at-a-time when
-    /// it is adaptive. Both variants are safe to call from many client
-    /// threads at once (the local path is submit + wait through the
-    /// concurrent dispatcher; adaptive runs build a fresh per-execution
-    /// [`QueryPlanner`](hsqp::engine::planner::QueryPlanner) sharing the
-    /// process-wide feedback cache).
-    fn run_planned(
-        &self,
-        planner: &Planner,
-        n: u32,
-        planned: &Planned,
-        opts: &SubmitOptions,
-    ) -> Result<QueryResult, EngineError> {
-        match planned {
-            Planned::Physical { query, .. } => match self {
-                Backend::Local(cluster) => cluster.submit_with(query, opts)?.wait(),
-                Backend::Remote(pc) => pc.run_with(query, opts),
-            },
-            Planned::Adaptive(logical) => {
-                let qp = planner.begin_query(logical)?;
-                match self {
-                    Backend::Local(cluster) => cluster.submit_adaptive(qp, n, opts)?.wait(),
-                    Backend::Remote(pc) => pc.run_adaptive(qp, opts),
-                }
-            }
+    /// The coordinator queries are submitted to, whichever nodes it
+    /// drives.
+    fn coordinator(&self) -> &Coordinator {
+        match self {
+            Backend::Local(cluster) => cluster,
+            Backend::Remote(pc) => pc,
         }
     }
 
@@ -682,18 +676,20 @@ impl Backend {
         planner
     }
 
-    /// Render the backend's post-run metrics for `--metrics`.
+    /// Render the coordinator's metrics for `--metrics`, followed on the
+    /// socket backend by the nodes' socket-mesh totals.
     fn metrics_render(&self) -> String {
-        match self {
-            Backend::Local(cluster) => cluster.metrics().render(),
-            Backend::Remote(pc) => match pc.net_stats() {
+        let mut out = self.coordinator().metrics().render();
+        if let Backend::Remote(pc) = self {
+            out.push_str(&match pc.net_stats() {
                 Ok((bs, br, ms, mr)) => format!(
                     "process cluster socket mesh: {bs} bytes sent, {br} bytes \
                      received, {ms} messages sent, {mr} messages received\n"
                 ),
                 Err(e) => format!("process cluster socket mesh: stats unavailable ({e})\n"),
-            },
+            });
         }
+        out
     }
 
     fn shutdown(self) {
@@ -701,6 +697,23 @@ impl Backend {
             Backend::Local(cluster) => cluster.shutdown(),
             Backend::Remote(pc) => pc.shutdown(),
         }
+    }
+}
+
+/// Submit one planned query, planning stage-at-a-time when it is
+/// adaptive (each execution builds a fresh
+/// [`QueryPlanner`](hsqp::engine::planner::QueryPlanner) sharing the
+/// process-wide feedback cache).
+fn submit_planned(
+    coord: &Coordinator,
+    planner: &Planner,
+    n: u32,
+    planned: &Planned,
+    opts: &SubmitOptions,
+) -> Result<QueryHandle, EngineError> {
+    match planned {
+        Planned::Physical { query, .. } => coord.submit_with(query, opts),
+        Planned::Adaptive(logical) => coord.submit_adaptive(planner.begin_query(logical)?, n, opts),
     }
 }
 
@@ -776,6 +789,7 @@ fn start_remote_cluster(
             message_capacity: args.message_kb * 1024,
             ..RemoteEngineConfig::default()
         },
+        dispatch: dispatch_config(args),
         ..ProcessClusterConfig::default()
     };
     let pc =
@@ -856,7 +870,8 @@ fn emit_report(report: &str, output: &Option<String>) -> Result<(), String> {
 /// Closed-loop multi-client throughput benchmark: `--clients` threads each
 /// run `--rounds` passes over the query set through the concurrent
 /// submission API, sharing one cluster whose dispatcher admits up to
-/// `--clients` queries at once.
+/// `--clients` queries at once. With `--tenants`, client `c` submits as
+/// tenant `c mod n`.
 fn run_throughput(args: &Args, queries: &[u32]) -> Result<(), String> {
     let bench = start_loaded_backend(
         args,
@@ -872,19 +887,25 @@ fn run_throughput(args: &Args, queries: &[u32]) -> Result<(), String> {
     let planner = backend.planner(args, &feedback);
     let plans = plan_queries(args, &planner, queries)?;
 
+    let coord = backend.coordinator();
     let wall_started = Instant::now();
     let client_results: Vec<(Vec<Observation>, Vec<String>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..args.clients)
-            .map(|_| {
+        let handles: Vec<_> = (0..args.clients as usize)
+            .map(|c| {
                 let plans = &plans;
                 let planner = &planner;
+                let opts = match args.tenants.get(c % args.tenants.len().max(1)) {
+                    Some((tenant, _)) => SubmitOptions::tenant(tenant),
+                    None => SubmitOptions::default(),
+                };
                 scope.spawn(move || {
                     let mut obs = Vec::new();
                     let mut errors = Vec::new();
                     for _ in 0..args.rounds {
                         for (n, query) in plans {
                             let started = Instant::now();
-                            match backend.run_planned(planner, *n, query, &SubmitOptions::default())
+                            match submit_planned(coord, planner, *n, query, &opts)
+                                .and_then(QueryHandle::wait)
                             {
                                 Ok(result) => obs.push(Observation {
                                     query: *n,
@@ -1066,12 +1087,12 @@ struct ArrivalRecord {
     outcome: ArrivalOutcome,
 }
 
-/// Open-loop driver over the in-process cluster: submissions go through
-/// the tenant-aware dispatcher (weighted-fair queues, admission caps),
-/// so queue-wait numbers come from the engine itself.
-fn open_loop_local(
+/// Open-loop driver: submissions go through the coordinator's
+/// tenant-aware dispatcher (weighted-fair queues, admission caps) on
+/// either backend, so queue-wait numbers come from the engine itself.
+fn open_loop(
     args: &Args,
-    cluster: &Cluster,
+    coord: &Coordinator,
     planner: &Planner,
     plans: &[(u32, Planned)],
     tenants: &[(String, TenantConfig)],
@@ -1092,13 +1113,7 @@ fn open_loop_local(
         if let Some(ms) = args.deadline_ms {
             opts = opts.with_deadline(Duration::from_millis(ms));
         }
-        let submitted = match query {
-            Planned::Physical { query, .. } => cluster.submit_with(query, &opts),
-            Planned::Adaptive(logical) => planner
-                .begin_query(logical)
-                .and_then(|qp| cluster.submit_adaptive(qp, *qn, &opts)),
-        };
-        match submitted {
+        match submit_planned(coord, planner, *qn, query, &opts) {
             Ok(handle) => pending.push((t, *qn, handle)),
             Err(EngineError::Admission(_)) => records.push(ArrivalRecord {
                 tenant: t,
@@ -1145,73 +1160,6 @@ fn open_loop_local(
         });
     }
     records
-}
-
-/// Open-loop driver over the out-of-process cluster: the coordinator has
-/// no server-side queue, so `--clients` worker threads emulate the
-/// execution slots and queue wait is measured as pickup minus arrival.
-fn open_loop_remote(
-    args: &Args,
-    pc: &ProcessCluster,
-    planner: &Planner,
-    plans: &[(u32, Planned)],
-    tenants: &[(String, TenantConfig)],
-    offsets: &[Duration],
-    window: Duration,
-) -> Vec<ArrivalRecord> {
-    let start = Instant::now();
-    let window_end = start + window;
-    let next = AtomicUsize::new(0);
-    let records: Mutex<Vec<ArrivalRecord>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..args.clients {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= offsets.len() {
-                    break;
-                }
-                let due = start + offsets[i];
-                if let Some(gap) = due.checked_duration_since(Instant::now()) {
-                    std::thread::sleep(gap);
-                }
-                let t = i % tenants.len();
-                let (qn, query) = &plans[i % plans.len()];
-                let picked_up = Instant::now();
-                let outcome = if picked_up >= window_end {
-                    // Still waiting for a slot when the window closed.
-                    ArrivalOutcome::Cancelled
-                } else {
-                    let mut opts = SubmitOptions::tenant(&tenants[t].0);
-                    if let Some(ms) = args.deadline_ms {
-                        opts = opts.with_deadline(Duration::from_millis(ms));
-                    }
-                    let result = match query {
-                        Planned::Physical { query, .. } => pc.run_with(query, &opts),
-                        Planned::Adaptive(logical) => planner
-                            .begin_query(logical)
-                            .and_then(|qp| pc.run_adaptive(qp, &opts)),
-                    };
-                    match result {
-                        Ok(r) => ArrivalOutcome::Completed {
-                            latency_ms: due.elapsed().as_secs_f64() * 1e3,
-                            queue_wait_ms: picked_up.duration_since(due).as_secs_f64() * 1e3,
-                            rows: r.row_count(),
-                        },
-                        Err(EngineError::Cancelled) | Err(EngineError::DeadlineExceeded) => {
-                            ArrivalOutcome::Cancelled
-                        }
-                        Err(e) => ArrivalOutcome::Failed(e.to_string()),
-                    }
-                };
-                records.lock().expect("records lock").push(ArrivalRecord {
-                    tenant: t,
-                    query: *qn,
-                    outcome,
-                });
-            });
-        }
-    });
-    records.into_inner().expect("records lock")
 }
 
 /// Render `{p50, p90, p99, max}` percentiles of an unsorted millisecond
@@ -1268,14 +1216,15 @@ fn run_open_loop(args: &Args, queries: &[u32], rate: f64) -> Result<(), String> 
             .join(", "),
     );
 
-    let records = match backend {
-        Backend::Local(cluster) => {
-            open_loop_local(args, cluster, &planner, &plans, &tenants, &offsets, window)
-        }
-        Backend::Remote(pc) => {
-            open_loop_remote(args, pc, &planner, &plans, &tenants, &offsets, window)
-        }
-    };
+    let records = open_loop(
+        args,
+        backend.coordinator(),
+        &planner,
+        &plans,
+        &tenants,
+        &offsets,
+        window,
+    );
     if args.metrics {
         eprint!("{}", backend.metrics_render());
     }
@@ -1423,12 +1372,14 @@ fn run() -> Result<(), String> {
     let mut args = parse_args()?;
 
     if let Some(addrs) = &args.cluster {
-        // Out-of-process mode: the profiler's spans, the trajectory file,
-        // and the alternative engines live on the in-process nodes only.
+        // Out-of-process mode: the node processes record no profiler
+        // spans for the coordinator, and the alternative engines live on
+        // the in-process nodes only.
         if args.analyze || args.trace_out.is_some() || args.bench_out.is_some() {
             return Err(
-                "--analyze, --trace-out, and --bench-out need the in-process \
-                 cluster (drop --cluster)"
+                "--analyze, --trace-out, and --bench-out need per-node profiler \
+                 spans, which hsqp-node does not ship back to the coordinator \
+                 (drop --cluster)"
                     .into(),
             );
         }
@@ -1507,8 +1458,14 @@ fn run() -> Result<(), String> {
     let mut failures = 0u32;
     for (n, query) in &plans {
         let n = *n;
-        let result: Result<QueryResult, _> =
-            backend.run_planned(&planner, n, query, &SubmitOptions::default());
+        let result: Result<QueryResult, _> = submit_planned(
+            backend.coordinator(),
+            &planner,
+            n,
+            query,
+            &SubmitOptions::default(),
+        )
+        .and_then(QueryHandle::wait);
         match result {
             Ok(result) => {
                 let ms = result.elapsed.as_secs_f64() * 1e3;

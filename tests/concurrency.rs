@@ -6,11 +6,14 @@
 //! namespace-isolated.
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
-use hsqp::engine::cluster::{Cluster, ClusterConfig, QueryHandle};
+use hsqp::engine::cluster::{Cluster, ClusterConfig, Coordinator, QueryHandle};
 use hsqp::engine::error::EngineError;
 use hsqp::engine::planner::Planner;
-use hsqp::engine::queries::{tpch_logical, Query, ALL_QUERIES};
+use hsqp::engine::queries::{tpch_logical, tpch_query, Query, ALL_QUERIES};
+use hsqp::engine::remote::{NodeServer, ProcessCluster, ProcessClusterConfig};
+use hsqp::engine::serve::DispatchConfig;
 use hsqp::tpch::TpchDb;
 
 const SF: f64 = 0.002;
@@ -31,7 +34,7 @@ fn plan_all(cluster: &Cluster) -> Vec<(u32, Query)> {
 /// threads concurrently — identical counts required, nothing leaked.
 fn concurrent_matches_serial_on(nodes: u16, clients: usize) {
     let cluster = Cluster::start(ClusterConfig {
-        max_concurrent: clients as u16,
+        dispatch: DispatchConfig::slots(clients as u16),
         ..ClusterConfig::quick(nodes)
     })
     .unwrap();
@@ -96,7 +99,7 @@ fn four_clients_all_queries_match_serial_on_4_nodes() {
 #[test]
 fn temp_namespaces_isolate_overlapping_multi_stage_queries() {
     let cluster = Cluster::start(ClusterConfig {
-        max_concurrent: 6,
+        dispatch: DispatchConfig::slots(6),
         ..ClusterConfig::quick(3)
     })
     .unwrap();
@@ -140,11 +143,13 @@ fn temp_namespaces_isolate_overlapping_multi_stage_queries() {
 /// Cancel queries at every stage of their life (queued, mid-flight,
 /// finished): each must either complete normally or fail with
 /// `Cancelled`, temps and hub slots must be freed, and the cluster must
-/// stay fully usable — no wedged multiplexers.
+/// stay fully usable — no wedged multiplexers. A cancel on a running Q9
+/// must resolve as `Cancelled` promptly. Runs on both backends: in
+/// process and over two loopback `NodeServer`s.
 #[test]
 fn cancel_frees_temps_and_slots_without_wedging() {
     let cluster = Cluster::start(ClusterConfig {
-        max_concurrent: 1, // force a queue so some cancels hit queued queries
+        dispatch: DispatchConfig::slots(1), // force a queue so some cancels hit queued queries
         ..ClusterConfig::quick(2)
     })
     .unwrap();
@@ -152,16 +157,48 @@ fn cancel_frees_temps_and_slots_without_wedging() {
     let planner = Planner::for_cluster(&cluster);
     // Multi-stage query: a cancel can land between its stages.
     let q2 = planner.plan_query(&tpch_logical(2).unwrap()).unwrap();
-    let serial_rows = cluster.run(&q2).unwrap().row_count();
+    cancel_without_wedging(&cluster, &q2, Some(&|| cluster.active_temp_namespaces()));
+    cluster.shutdown();
+
+    // The nodes' temp namespaces are out of the socket coordinator's
+    // sight; its cleanup is checked by the follow-up queries instead.
+    let (addrs, servers): (Vec<String>, Vec<_>) = (0..2)
+        .map(|_| {
+            let server = NodeServer::bind("127.0.0.1:0").unwrap();
+            let addr = server.local_addr().unwrap().to_string();
+            (addr, std::thread::spawn(move || server.run()))
+        })
+        .unzip();
+    let pc = ProcessCluster::connect(
+        &addrs,
+        ProcessClusterConfig {
+            dispatch: DispatchConfig::slots(1),
+            ..ProcessClusterConfig::default()
+        },
+    )
+    .unwrap();
+    pc.load_tpch(SF).unwrap();
+    cancel_without_wedging(&pc, &q2, None);
+    pc.shutdown();
+    for server in servers {
+        server.join().unwrap().expect("node server exits cleanly");
+    }
+}
+
+fn cancel_without_wedging(
+    cluster: &Coordinator,
+    q2: &Query,
+    active_temps: Option<&dyn Fn() -> usize>,
+) {
+    let serial_rows = cluster.run(q2).unwrap().row_count();
 
     let mut cancelled = 0;
-    let mut completed = 0;
     for round in 0..6 {
-        let handles: Vec<QueryHandle> = (0..4).map(|_| cluster.submit(&q2).unwrap()).collect();
+        let handles: Vec<QueryHandle> = (0..4).map(|_| cluster.submit(q2).unwrap()).collect();
         // Vary the cancellation timing: immediately, or after a short
         // delay so the head query is mid-flight.
         if round % 2 == 1 {
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            std::thread::sleep(Duration::from_millis(2));
         }
         for h in &handles {
             h.cancel();
@@ -169,25 +206,47 @@ fn cancel_frees_temps_and_slots_without_wedging() {
         for h in handles {
             match h.wait() {
                 Err(EngineError::Cancelled) => cancelled += 1,
-                Ok(r) => {
-                    completed += 1;
-                    assert_eq!(r.row_count(), serial_rows, "cancel corrupted a result");
-                }
+                Ok(r) => assert_eq!(r.row_count(), serial_rows, "cancel corrupted a result"),
                 Err(other) => panic!("unexpected error: {other}"),
             }
         }
-        assert_eq!(
-            cluster.active_temp_namespaces(),
-            0,
-            "cancelled queries leaked temps"
-        );
+        if let Some(active_temps) = active_temps {
+            assert_eq!(active_temps(), 0, "cancelled queries leaked temps");
+        }
     }
     assert!(cancelled > 0, "no cancellation ever took effect");
+
+    // A cancel on a query the dispatcher is running resolves promptly as
+    // `Cancelled`. A run that finishes before the cancel lands (a loaded
+    // host can deschedule this thread for the whole query) is retried.
+    let q9 = tpch_query(9).unwrap();
+    let q9_rows = cluster.run(&q9).unwrap().row_count();
+    let took = (0..10)
+        .find_map(|_| {
+            let handle = cluster.submit(&q9).unwrap();
+            while !handle.is_finished() && cluster.metrics().gauge("queries.active") != Some(1) {
+                std::thread::yield_now();
+            }
+            let cancelled_at = Instant::now();
+            handle.cancel();
+            match handle.wait() {
+                Err(EngineError::Cancelled) => Some(cancelled_at.elapsed()),
+                Ok(r) => {
+                    assert_eq!(r.row_count(), q9_rows, "cancel corrupted a result");
+                    None
+                }
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+        })
+        .expect("no cancel of a running Q9 took effect");
+    assert!(
+        took < Duration::from_secs(2),
+        "cancel of a running Q9 took {took:?}"
+    );
+
     // The engine still answers correctly afterwards — nothing wedged.
-    let after = cluster.run(&q2).unwrap();
-    assert_eq!(after.row_count(), serial_rows);
-    let _ = completed;
-    cluster.shutdown();
+    assert_eq!(cluster.run(&q9).unwrap().row_count(), q9_rows);
+    assert_eq!(cluster.run(q2).unwrap().row_count(), serial_rows);
 }
 
 /// Per-query fabric accounting: two concurrent queries see their own
@@ -196,7 +255,7 @@ fn cancel_frees_temps_and_slots_without_wedging() {
 #[test]
 fn per_query_stats_are_isolated() {
     let cluster = Cluster::start(ClusterConfig {
-        max_concurrent: 2,
+        dispatch: DispatchConfig::slots(2),
         ..ClusterConfig::quick(3)
     })
     .unwrap();

@@ -426,22 +426,49 @@ fn invalid_multi_stage_queries_are_rejected() {
 
 /// A hand-built physical plan reading a temp relation no stage
 /// materialized, or referencing a parameter no earlier stage bound, must
-/// be rejected by the cluster up front — not panic in a node thread
-/// mid-execution.
+/// be rejected by the coordinator up front — not panic on a node
+/// mid-execution. Runs on both backends: in process and over two loopback
+/// `NodeServer`s, where the check must fire before any stage ships.
 #[test]
 fn dangling_temp_scan_and_unbound_param_are_errors_not_panics() {
     use hsqp::engine::error::EngineError;
     use hsqp::engine::plan::Plan;
+    use hsqp::engine::queries::Query;
+    use hsqp::engine::remote::{NodeServer, ProcessCluster, ProcessClusterConfig};
+
+    let dangling = Query::single(0, Plan::temp_scan("nope").gather());
+    let unbound = Query::single(
+        0,
+        Plan::scan(TpchTable::Lineitem)
+            .filter(col("l_quantity").gt(param(0)))
+            .gather(),
+    );
+
     let cluster = Cluster::start(ClusterConfig::quick(1)).unwrap();
     cluster.load_tpch_db(TpchDb::generate(0.001)).unwrap();
-    let r = cluster.run_plan(&Plan::temp_scan("nope").gather());
-    assert!(matches!(r, Err(EngineError::Planner(_))), "got {r:?}");
-    let unbound = Plan::scan(TpchTable::Lineitem)
-        .filter(col("l_quantity").gt(param(0)))
-        .gather();
-    let r = cluster.run_plan(&unbound);
-    assert!(matches!(r, Err(EngineError::Planner(_))), "got {r:?}");
+    for q in [&dangling, &unbound] {
+        let r = cluster.run(q);
+        assert!(matches!(r, Err(EngineError::Planner(_))), "got {r:?}");
+    }
     cluster.shutdown();
+
+    let (addrs, servers): (Vec<String>, Vec<_>) = (0..2)
+        .map(|_| {
+            let server = NodeServer::bind("127.0.0.1:0").unwrap();
+            let addr = server.local_addr().unwrap().to_string();
+            (addr, std::thread::spawn(move || server.run()))
+        })
+        .unzip();
+    let pc = ProcessCluster::connect(&addrs, ProcessClusterConfig::default()).unwrap();
+    pc.load_tpch(0.001).unwrap();
+    for q in [&dangling, &unbound] {
+        let r = pc.run(q);
+        assert!(matches!(r, Err(EngineError::Planner(_))), "got {r:?}");
+    }
+    pc.shutdown();
+    for server in servers {
+        server.join().unwrap().expect("node server exits cleanly");
+    }
 }
 
 /// A hand-rolled multi-stage query executed for real: the scalar stage

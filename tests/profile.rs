@@ -9,13 +9,14 @@ use hsqp::engine::error::EngineError;
 use hsqp::engine::planner::Planner;
 use hsqp::engine::profile::{QueryProfile, StageProfile};
 use hsqp::engine::queries::{tpch_logical, Query};
+use hsqp::engine::serve::DispatchConfig;
 use hsqp::tpch::TpchDb;
 
 const SF: f64 = 0.002;
 
 fn cluster(nodes: u16, max_concurrent: u16) -> Cluster {
     let cluster = Cluster::start(ClusterConfig {
-        max_concurrent,
+        dispatch: DispatchConfig::slots(max_concurrent),
         ..ClusterConfig::quick(nodes)
     })
     .unwrap();

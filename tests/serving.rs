@@ -5,24 +5,33 @@
 //! an open-loop CLI smoke over both the in-process and out-of-process
 //! backends.
 
-use std::io::{BufRead, BufReader};
+use std::io::{self, BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hsqp::engine::cluster::{Cluster, ClusterConfig, QueryHandle};
+use hsqp::engine::cluster::{Cluster, ClusterConfig, Coordinator, QueryHandle};
 use hsqp::engine::error::EngineError;
 use hsqp::engine::queries::tpch_query;
-use hsqp::engine::serve::{SubmitOptions, TenantConfig};
+use hsqp::engine::remote::{NodeServer, ProcessCluster, ProcessClusterConfig};
+use hsqp::engine::serve::{DispatchConfig, SubmitOptions, TenantConfig};
 
-/// Start a 2-node cluster with a single dispatcher slot and the given
-/// tenants, loaded at `sf`.
-fn serving_cluster(sf: f64, tenants: &[(&str, TenantConfig)]) -> Cluster {
-    let cluster = Cluster::start(ClusterConfig {
+/// A single dispatcher slot and the given tenants.
+fn one_slot(tenants: &[(&str, TenantConfig)]) -> DispatchConfig {
+    DispatchConfig {
         max_concurrent: 1,
         tenants: tenants
             .iter()
             .map(|(n, c)| (n.to_string(), c.clone()))
             .collect(),
+    }
+}
+
+/// Start a 2-node cluster with a single dispatcher slot and the given
+/// tenants, loaded at `sf`.
+fn serving_cluster(sf: f64, tenants: &[(&str, TenantConfig)]) -> Cluster {
+    let cluster = Cluster::start(ClusterConfig {
+        dispatch: one_slot(tenants),
         ..ClusterConfig::quick(2)
     })
     .expect("start cluster");
@@ -30,21 +39,56 @@ fn serving_cluster(sf: f64, tenants: &[(&str, TenantConfig)]) -> Cluster {
     cluster
 }
 
+/// The same over sockets: two `NodeServer`s on loopback threads (returned
+/// for joining after shutdown) and a single-slot coordinator, loaded at
+/// `sf`.
+fn serving_process_cluster(
+    sf: f64,
+    tenants: &[(&str, TenantConfig)],
+) -> (ProcessCluster, Vec<JoinHandle<io::Result<()>>>) {
+    let (addrs, servers): (Vec<String>, Vec<_>) = (0..2)
+        .map(|_| {
+            let server = NodeServer::bind("127.0.0.1:0").expect("bind node");
+            let addr = server.local_addr().expect("node address").to_string();
+            (addr, std::thread::spawn(move || server.run()))
+        })
+        .unzip();
+    let cluster = ProcessCluster::connect(
+        &addrs,
+        ProcessClusterConfig {
+            dispatch: one_slot(tenants),
+            ..ProcessClusterConfig::default()
+        },
+    )
+    .expect("connect process cluster");
+    cluster.load_tpch(sf).expect("load TPC-H on the nodes");
+    (cluster, servers)
+}
+
 /// A backlogged 4:1 tenant pair must be *served* in weight proportion:
 /// plug the single dispatcher slot with a long query, enqueue an
 /// interleaved gold/silver backlog behind it, then reconstruct the pickup
 /// order from each query's measured `queue_wait` — any early window of
 /// picks must be dominated by gold roughly 4:1, and silver must not
-/// starve.
+/// starve. Runs on both backends: in process and over sockets.
 #[test]
 fn weighted_fair_scheduling_serves_in_weight_proportion() {
-    let cluster = serving_cluster(
-        0.01,
-        &[
-            ("gold", TenantConfig::weighted(4)),
-            ("silver", TenantConfig::weighted(1)),
-        ],
-    );
+    let tenants = [
+        ("gold", TenantConfig::weighted(4)),
+        ("silver", TenantConfig::weighted(1)),
+    ];
+    let cluster = serving_cluster(0.01, &tenants);
+    weighted_fair_on(&cluster);
+    cluster.shutdown();
+    let (cluster, servers) = serving_process_cluster(0.01, &tenants);
+    weighted_fair_on(&cluster);
+    cluster.shutdown();
+    for server in servers {
+        server.join().unwrap().expect("node server exits cleanly");
+    }
+}
+
+fn weighted_fair_on(cluster: &Coordinator) {
     let plug = tpch_query(9).expect("build Q9");
     let fast = tpch_query(6).expect("build Q6");
     let serial_rows = cluster.run(&fast).expect("serial Q6").row_count();
@@ -111,7 +155,6 @@ fn weighted_fair_scheduling_serves_in_weight_proportion() {
     assert_eq!(silver.completed, 20);
     assert_eq!(gold.failed + gold.cancelled + gold.rejected, 0);
     assert_eq!(silver.failed + silver.cancelled + silver.rejected, 0);
-    cluster.shutdown();
 }
 
 /// `cancel()` must take effect at morsel granularity: cancelling a
