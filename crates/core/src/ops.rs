@@ -5,8 +5,10 @@
 //! worker-local results are merged at the pipeline breaker — the HyPer
 //! execution model the paper builds on.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use hsqp_storage::{decimal_to_f64, Bitmap, Column, DataType, Field, Schema, Table, Value};
@@ -33,6 +35,13 @@ fn check_cancel(cancel: Option<&CancelToken>) {
 
 /// A fast, non-cryptographic hasher for join/aggregation keys (FxHash's
 /// multiply-xor scheme; HashDoS is not a concern inside a query engine).
+///
+/// `finish` mixes the high bits of the state into the low bits (murmur3's
+/// `fmix64` steps). The multiply alone only carries entropy *upwards*, and
+/// numeric keys are canonical f64 bits ([`canon_f64_bits`]) whose low
+/// mantissa bits are zero for every integer value. hashbrown picks buckets
+/// from the low bits of the hash, so without the mix every such key lands
+/// in one probe sequence and a build goes quadratic.
 #[derive(Default)]
 pub struct FxHasher {
     hash: u64,
@@ -42,7 +51,10 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 impl Hasher for FxHasher {
     fn finish(&self) -> u64 {
-        self.hash
+        let mut h = self.hash;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 33)
     }
 
     fn write(&mut self, bytes: &[u8]) {
@@ -70,9 +82,10 @@ pub type FxSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 pub enum KeyPart {
     /// Integer-backed key (ints, dates, decimals in cents).
     I64(i64),
-    /// Canonical f64 bit pattern (see [`canon_f64_bits`]): the numeric
-    /// join-key domain, so Int64, Float64, and promoted Decimal keys
-    /// holding the same logical value compare equal.
+    /// Canonical f64 bit pattern (see [`canon_f64_bits`]): Float64 group
+    /// keys, and the numeric join-key domain, so Int64, Float64, and
+    /// promoted Decimal join keys holding the same logical value compare
+    /// equal.
     F64(u64),
     /// String key.
     Str(Box<str>),
@@ -93,7 +106,7 @@ pub fn key_of(columns: &[&Column], row: usize) -> Key {
             } else {
                 match c {
                     Column::I64(v, _) => KeyPart::I64(v[row]),
-                    Column::F64(v, _) => KeyPart::I64(v[row].to_bits() as i64),
+                    Column::F64(v, _) => KeyPart::F64(canon_f64_bits(v[row])),
                     Column::Str(v, _) => KeyPart::Str(v.get(row).into()),
                 }
             }
@@ -127,28 +140,37 @@ pub fn join_key_cols<'t>(table: &'t Table, key_cols: &[usize]) -> Vec<JoinKeyCol
         .collect()
 }
 
+/// The canonical numeric key bits of row `row`: the `KeyPart::F64`
+/// domain, shared by the composite and the flat join index. A Decimal
+/// is promoted to its f64 value, an Int64 maps to its f64 when exactly
+/// representable, and Float64 folds −0.0 onto +0.0. `None` for NULL, for
+/// an Int64 that f64 cannot represent (it keeps its integer identity: no
+/// f64 can equal it by value anyway) and for a String key.
+fn numeric_key_bits((c, promote): JoinKeyCol<'_>, row: usize) -> Option<u64> {
+    if !c.is_valid(row) {
+        return None;
+    }
+    match c {
+        Column::I64(v, _) if promote => Some(canon_f64_bits(decimal_to_f64(v[row]))),
+        Column::I64(v, _) => i64_as_f64_exact(v[row]).map(canon_f64_bits),
+        Column::F64(v, _) => Some(canon_f64_bits(v[row])),
+        Column::Str(..) => None,
+    }
+}
+
 /// Extract the canonicalized join key of row `row`.
 pub fn join_key_of(columns: &[JoinKeyCol<'_>], row: usize) -> Key {
     columns
         .iter()
         .map(|&(c, promote)| {
             if !c.is_valid(row) {
-                KeyPart::Null
-            } else {
-                match c {
-                    Column::I64(v, _) if promote => {
-                        KeyPart::F64(canon_f64_bits(decimal_to_f64(v[row])))
-                    }
-                    // Int64 keys join the numeric f64 domain when exactly
-                    // representable; the rest keep their integer identity
-                    // (no f64 can equal them by value anyway).
-                    Column::I64(v, _) => match i64_as_f64_exact(v[row]) {
-                        Some(f) => KeyPart::F64(canon_f64_bits(f)),
-                        None => KeyPart::I64(v[row]),
-                    },
-                    Column::F64(v, _) => KeyPart::F64(canon_f64_bits(v[row])),
-                    Column::Str(v, _) => KeyPart::Str(v.get(row).into()),
-                }
+                return KeyPart::Null;
+            }
+            match (c, numeric_key_bits((c, promote), row)) {
+                (_, Some(bits)) => KeyPart::F64(bits),
+                (Column::I64(v, _), None) => KeyPart::I64(v[row]),
+                (Column::Str(v, _), None) => KeyPart::Str(v.get(row).into()),
+                (Column::F64(..), None) => unreachable!("every f64 has canonical bits"),
             }
         })
         .collect()
@@ -164,9 +186,32 @@ pub fn join_key_of(columns: &[JoinKeyCol<'_>], row: usize) -> Key {
 /// Decimal/Float64 key pairs join by value. The build side is held behind
 /// an `Arc` so a shared temp relation (a materialized CTE) can back the
 /// hash table without being deep-copied.
+///
+/// A single numeric key column (Int64, Decimal or Float64) is indexed
+/// flat: its canonical key bits map to the first build row holding that
+/// key, and the remaining rows follow through a per-row chain, so no key
+/// or row list is heap-allocated per distinct key. If an Int64 build key
+/// has no exact f64 value, the column falls back to the composite index
+/// (a `Vec<KeyPart>` key per distinct value); so do String and
+/// multi-column keys. Either way a key's matches come back in build-row
+/// order.
 pub struct JoinTable {
     build: Arc<Table>,
-    index: FxMap<Key, Vec<u32>>,
+    index: JoinIndex,
+}
+
+/// End of a [`JoinIndex::Flat`] row chain.
+const CHAIN_END: u32 = u32::MAX;
+
+enum JoinIndex {
+    /// Canonical key bits → first build row; `next[row]` is the following
+    /// build row with the same key, or [`CHAIN_END`].
+    Flat {
+        heads: FxMap<u64, u32>,
+        next: Vec<u32>,
+    },
+    /// Any other key: the full key → its build rows.
+    Composite(FxMap<Key, Vec<u32>>),
 }
 
 impl JoinTable {
@@ -184,31 +229,116 @@ impl JoinTable {
         cancel: Option<&CancelToken>,
     ) -> Self {
         let build = build.into();
-        let mut index: FxMap<Key, Vec<u32>> = FxMap::default();
-        {
-            let cols = join_key_cols(&build, key_cols);
-            for row in 0..build.rows() {
-                if row % CANCEL_CHECK_ROWS == 0 {
-                    check_cancel(cancel);
+        let cols = join_key_cols(&build, key_cols);
+        let rows = build.rows();
+        assert!(rows < CHAIN_END as usize, "build side exceeds u32 row ids");
+        let index = match flat_key_col(&cols) {
+            Some(col) => {
+                let mut heads: FxMap<u64, u32> = FxMap::default();
+                let mut next = vec![CHAIN_END; rows];
+                // In reverse, so each chain comes out in build-row order.
+                for row in (0..rows).rev() {
+                    if row % CANCEL_CHECK_ROWS == 0 {
+                        check_cancel(cancel);
+                    }
+                    // `None` is a NULL key here, and NULL keys never join.
+                    if let Some(bits) = numeric_key_bits(col, row) {
+                        if let Some(head) = heads.insert(bits, row as u32) {
+                            next[row] = head;
+                        }
+                    }
                 }
-                let key = join_key_of(&cols, row);
-                if key.contains(&KeyPart::Null) {
-                    continue; // NULL keys never join
-                }
-                index.entry(key).or_default().push(row as u32);
+                JoinIndex::Flat { heads, next }
             }
-        }
+            None => {
+                let mut index: FxMap<Key, Vec<u32>> = FxMap::default();
+                for row in 0..rows {
+                    if row % CANCEL_CHECK_ROWS == 0 {
+                        check_cancel(cancel);
+                    }
+                    let key = join_key_of(&cols, row);
+                    if key.contains(&KeyPart::Null) {
+                        continue; // NULL keys never join
+                    }
+                    index.entry(key).or_default().push(row as u32);
+                }
+                JoinIndex::Composite(index)
+            }
+        };
         Self { build, index }
     }
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        self.index.len()
+        match &self.index {
+            JoinIndex::Flat { heads, .. } => heads.len(),
+            JoinIndex::Composite(index) => index.len(),
+        }
     }
 
     /// The build-side table.
     pub fn build_side(&self) -> &Table {
         &self.build
+    }
+
+    /// The build rows matching probe row `row` of `cols` (the probe's
+    /// [`join_key_cols`]), in build-row order.
+    fn matches(&self, cols: &[JoinKeyCol<'_>], row: usize) -> Matches<'_> {
+        match &self.index {
+            // A NULL, a String or an Int64 beyond f64's exact range cannot
+            // equal any flat (canonical f64) build key.
+            JoinIndex::Flat { heads, next } => Matches::Chain {
+                next,
+                row: numeric_key_bits(cols[0], row)
+                    .and_then(|bits| heads.get(&bits).copied())
+                    .unwrap_or(CHAIN_END),
+            },
+            JoinIndex::Composite(index) => {
+                let key = join_key_of(cols, row);
+                let rows = if key.contains(&KeyPart::Null) {
+                    None
+                } else {
+                    index.get(&key)
+                };
+                Matches::List(rows.map_or([].iter(), |rows| rows.iter()))
+            }
+        }
+    }
+}
+
+/// The build key column the flat index can hold: a single numeric column
+/// whose every Int64 value has an exact f64 (so [`numeric_key_bits`] is
+/// defined on each valid row).
+fn flat_key_col<'t>(cols: &[JoinKeyCol<'t>]) -> Option<JoinKeyCol<'t>> {
+    match *cols {
+        [(Column::Str(..), _)] => None,
+        [(Column::I64(v, _), false)] if v.iter().any(|&x| i64_as_f64_exact(x).is_none()) => None,
+        [col] => Some(col),
+        _ => None,
+    }
+}
+
+/// The build rows one probe row matches.
+enum Matches<'a> {
+    /// A flat-index row chain starting at `row`.
+    Chain { next: &'a [u32], row: u32 },
+    /// A composite-index row list.
+    List(std::slice::Iter<'a, u32>),
+}
+
+impl Iterator for Matches<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            Matches::Chain { row: CHAIN_END, .. } => None,
+            Matches::Chain { next, row } => {
+                let current = *row;
+                *row = next[current as usize];
+                Some(current)
+            }
+            Matches::List(rows) => rows.next().copied(),
+        }
     }
 }
 
@@ -255,40 +385,32 @@ pub fn probe_join(
         |(probe_idx, build_idx), _, m| {
             check_cancel(cancel);
             for row in m.range() {
-                let key = join_key_of(&cols, row);
-                let matches = if key.contains(&KeyPart::Null) {
-                    None
-                } else {
-                    table.index.get(&key)
-                };
+                let mut matches = table.matches(&cols, row);
                 match kind {
                     JoinKind::Inner => {
-                        if let Some(rows) = matches {
-                            for &b in rows {
-                                probe_idx.push(row);
-                                build_idx.push(Some(b));
-                            }
+                        for b in matches {
+                            probe_idx.push(row);
+                            build_idx.push(Some(b));
                         }
                     }
-                    JoinKind::LeftOuter => match matches {
-                        Some(rows) => {
-                            for &b in rows {
-                                probe_idx.push(row);
-                                build_idx.push(Some(b));
-                            }
+                    JoinKind::LeftOuter => {
+                        let before = probe_idx.len();
+                        for b in matches {
+                            probe_idx.push(row);
+                            build_idx.push(Some(b));
                         }
-                        None => {
+                        if probe_idx.len() == before {
                             probe_idx.push(row);
                             build_idx.push(None);
                         }
-                    },
+                    }
                     JoinKind::LeftSemi => {
-                        if matches.is_some() {
+                        if matches.next().is_some() {
                             probe_idx.push(row);
                         }
                     }
                     JoinKind::LeftAnti => {
-                        if matches.is_none() {
+                        if matches.next().is_none() {
                             probe_idx.push(row);
                         }
                     }
@@ -395,7 +517,7 @@ impl AggState {
             AggState::Distinct(set) => {
                 let part = match &v.data {
                     VecData::I64(d) => KeyPart::I64(d[row]),
-                    VecData::F64(d) => KeyPart::I64(d[row].to_bits() as i64),
+                    VecData::F64(d) => KeyPart::F64(canon_f64_bits(d[row])),
                     VecData::Str(d) => KeyPart::Str(d.get(row).into()),
                     VecData::Bool(d) => KeyPart::I64(i64::from(d[row])),
                 };
@@ -532,8 +654,6 @@ pub fn aggregate_with(
             .collect(),
     };
 
-    let group_cols: Vec<&Column> = group_by.iter().map(|&i| input.column(i)).collect();
-
     // Bind compiled input programs once, not per morsel.
     let bound: Vec<Option<BoundProgram<'_>>> = match programs {
         Some(ps) if phase != AggPhase::Final && ps.len() == aggs.len() => ps
@@ -542,58 +662,18 @@ pub fn aggregate_with(
             .collect(),
         _ => (0..aggs.len()).map(|_| None).collect(),
     };
-
-    let maps = driver.run(
-        input.rows(),
-        |_| FxMap::<Key, Vec<AggState>>::default(),
-        |map, _, m| {
-            check_cancel(cancel);
-            // Evaluate agg inputs once per morsel.
-            let inputs: Vec<AggInput> = effective
-                .iter()
-                .zip(&bound)
-                .map(|((func, e), b)| match b {
-                    Some(bp) => AggInput::Vec(bp.eval(input, m.range(), params)),
-                    None => AggInput::eval(e, *func, input, m.range(), params),
-                })
-                .collect();
-            for row in m.range() {
-                let key = key_of(&group_cols, row);
-                let states = map
-                    .entry(key)
-                    .or_insert_with(|| effective.iter().map(|(f, _)| AggState::new(*f)).collect());
-                let local = row - m.start;
-                for (state, inp) in states.iter_mut().zip(&inputs) {
-                    inp.update(state, local);
-                }
-            }
-        },
-    );
-
-    // Merge worker maps.
-    let mut merged: FxMap<Key, Vec<AggState>> = FxMap::default();
-    for map in maps {
-        for (k, states) in map {
-            match merged.entry(k) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(states);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (a, b) in e.get_mut().iter_mut().zip(states) {
-                        a.merge(b);
-                    }
-                }
-            }
-        }
-    }
-
-    // Global aggregate over empty input still yields one row (Final/Single).
-    if merged.is_empty() && group_by.is_empty() && phase != AggPhase::Partial {
-        merged.insert(
-            Vec::new(),
-            effective.iter().map(|(f, _)| AggState::new(*f)).collect(),
-        );
-    }
+    let eval_inputs = |range: Range<usize>| -> Vec<AggInput> {
+        effective
+            .iter()
+            .zip(&bound)
+            .map(|((func, e), b)| match b {
+                Some(bp) => AggInput::Vec(bp.eval(input, range.clone(), params)),
+                None => AggInput::eval(e, *func, input, range.clone(), params),
+            })
+            .collect()
+    };
+    let new_states =
+        || -> Vec<AggState> { effective.iter().map(|(f, _)| AggState::new(*f)).collect() };
 
     // MIN/MAX output columns take the *static* type of their input
     // expression (evaluated over zero rows), so empty partials keep the
@@ -615,7 +695,129 @@ pub fn aggregate_with(
         })
         .collect();
 
-    build_agg_output(input, group_by, aggs, phase, merged, &minmax_types)
+    let group_cols: Vec<&Column> = group_by.iter().map(|&i| input.column(i)).collect();
+    let fold = GroupFold {
+        rows: input.rows(),
+        driver,
+        cancel,
+        eval_inputs: &eval_inputs,
+        new_states: &new_states,
+    };
+    match *group_cols.as_slice() {
+        // A single numeric group column keys a flat map on its value bits.
+        [c] if !matches!(c, Column::Str(..)) => {
+            let groups = fold.run(|row| flat_group_key(c, row));
+            build_agg_output(input, group_by, aggs, phase, groups, &minmax_types)
+        }
+        _ => {
+            let mut groups = fold.run(|row| key_of(&group_cols, row));
+            // Global aggregate over empty input still yields one row
+            // (Final/Single).
+            if groups.is_empty() && group_by.is_empty() && phase != AggPhase::Partial {
+                groups.insert(Vec::new(), new_states());
+            }
+            build_agg_output(input, group_by, aggs, phase, groups, &minmax_types)
+        }
+    }
+}
+
+/// A hash-aggregation key that can be written back as group-by values.
+trait GroupKey: Hash + Eq + Send {
+    /// Append the key's values to the group-by output columns.
+    fn push_to(self, cols: &mut [Column]);
+}
+
+impl GroupKey for Key {
+    fn push_to(self, cols: &mut [Column]) {
+        for (col, part) in cols.iter_mut().zip(self) {
+            col.push_value(&match part {
+                KeyPart::I64(x) => Value::I64(x),
+                KeyPart::F64(bits) => Value::F64(f64::from_bits(bits)),
+                KeyPart::Str(s) => Value::Str(s.into()),
+                KeyPart::Null => Value::Null,
+            });
+        }
+    }
+}
+
+/// A [`flat_group_key`], decoded by the type of its one output column.
+impl GroupKey for Option<u64> {
+    fn push_to(self, cols: &mut [Column]) {
+        let value = match (self, &cols[0]) {
+            (None, _) => Value::Null,
+            (Some(bits), Column::F64(..)) => Value::F64(f64::from_bits(bits)),
+            (Some(bits), _) => Value::I64(bits as i64),
+        };
+        cols[0].push_value(&value);
+    }
+}
+
+/// The flat group key of row `row` of a numeric group column: the Int64
+/// value or the canonical Float64 bits, `None` for NULL. It forms exactly
+/// the groups [`key_of`] forms.
+fn flat_group_key(c: &Column, row: usize) -> Option<u64> {
+    if !c.is_valid(row) {
+        return None;
+    }
+    match c {
+        Column::I64(v, _) => Some(v[row] as u64),
+        Column::F64(v, _) => Some(canon_f64_bits(v[row])),
+        Column::Str(..) => unreachable!("String group keys take the composite path"),
+    }
+}
+
+/// What folding the aggregate input into per-group states needs besides
+/// the group key.
+struct GroupFold<'a> {
+    rows: usize,
+    driver: &'a MorselDriver,
+    cancel: Option<&'a CancelToken>,
+    /// Evaluates every aggregate's input over a morsel.
+    eval_inputs: &'a (dyn Fn(Range<usize>) -> Vec<AggInput> + Sync),
+    /// Fresh states for a new group.
+    new_states: &'a (dyn Fn() -> Vec<AggState> + Sync),
+}
+
+impl GroupFold<'_> {
+    /// Fold the input rows into per-group states by `key`: morsel-parallel
+    /// into per-worker maps, merged at the end.
+    fn run<K: GroupKey>(&self, key: impl Fn(usize) -> K + Sync) -> FxMap<K, Vec<AggState>> {
+        let maps = self.driver.run(
+            self.rows,
+            |_| FxMap::<K, Vec<AggState>>::default(),
+            |map, _, m| {
+                check_cancel(self.cancel);
+                // Evaluate agg inputs once per morsel.
+                let inputs = (self.eval_inputs)(m.range());
+                for row in m.range() {
+                    let states = map.entry(key(row)).or_insert_with(self.new_states);
+                    let local = row - m.start;
+                    for (state, inp) in states.iter_mut().zip(&inputs) {
+                        inp.update(state, local);
+                    }
+                }
+            },
+        );
+
+        // Merge worker maps.
+        let mut maps = maps.into_iter();
+        let mut merged = maps.next().unwrap_or_default();
+        for map in maps {
+            for (k, states) in map {
+                match merged.entry(k) {
+                    Entry::Vacant(e) => {
+                        e.insert(states);
+                    }
+                    Entry::Occupied(mut e) => {
+                        for (a, b) in e.get_mut().iter_mut().zip(states) {
+                            a.merge(b);
+                        }
+                    }
+                }
+            }
+        }
+        merged
+    }
 }
 
 /// How an aggregate reads its input in a given phase.
@@ -680,12 +882,14 @@ impl AggInput {
     }
 }
 
-fn build_agg_output(
+/// Emit one output row per group: the group's key, then each aggregate's
+/// final or partial state.
+fn build_agg_output<K: GroupKey>(
     input: &Table,
     group_by: &[usize],
     aggs: &[AggSpec],
     phase: AggPhase,
-    merged: FxMap<Key, Vec<AggState>>,
+    groups: FxMap<K, Vec<AggState>>,
     minmax_types: &[DataType],
 ) -> Table {
     // Output schema: group columns keep their input field definitions.
@@ -721,25 +925,8 @@ fn build_agg_output(
         .map(|f| Column::empty(f.dtype))
         .collect();
 
-    for (key, states) in merged {
-        for (i, part) in key.iter().enumerate() {
-            let v = match part {
-                KeyPart::I64(x) => {
-                    if input.schema().fields()[group_by[i]].dtype == DataType::Float64 {
-                        Value::F64(f64::from_bits(*x as u64))
-                    } else {
-                        Value::I64(*x)
-                    }
-                }
-                // Group-by keys come from `key_of`, which keeps f64 bits in
-                // the I64 variant; F64 belongs to the join/partition key
-                // domain but decodes cleanly if it ever shows up here.
-                KeyPart::F64(bits) => Value::F64(f64::from_bits(*bits)),
-                KeyPart::Str(s) => Value::Str(s.to_string()),
-                KeyPart::Null => Value::Null,
-            };
-            columns[i].push_value(&v);
-        }
+    for (key, states) in groups {
+        key.push_to(&mut columns[..group_by.len()]);
         let mut c = group_by.len();
         for (state, a) in states.into_iter().zip(aggs) {
             match (phase, state) {
@@ -994,6 +1181,229 @@ mod tests {
         let jt = JoinTable::build(build, &[0]);
         let out = probe_join(&probe, &jt, &[0], JoinKind::Inner, &driver(), None);
         assert_eq!(out.rows(), 1); // only 1 = 1 joins; NULL ≠ NULL
+    }
+
+    /// A one-column table of `keys` plus a `payload` column holding the
+    /// row number.
+    fn keyed(name: &str, keys: Column, dtype: DataType) -> Table {
+        let rows = keys.len() as i64;
+        Table::new(
+            Schema::new(vec![
+                Field::nullable(name, dtype),
+                Field::new(format!("{name}_row"), DataType::Int64),
+            ]),
+            vec![keys, Column::I64((0..rows).collect(), None)],
+        )
+    }
+
+    /// Inner-join `probe` against `build` on column 0 and return the
+    /// build-row payloads in output order.
+    fn joined_build_rows(probe: &Table, build: Table) -> Vec<i64> {
+        let jt = JoinTable::build(build, &[0]);
+        let out = probe_join(probe, &jt, &[0], JoinKind::Inner, &driver(), None);
+        (0..out.rows()).map(|r| out.value(r, 3).as_i64()).collect()
+    }
+
+    #[test]
+    fn hasher_spreads_integer_valued_f64_keys_over_low_bits() {
+        // hashbrown picks a bucket from the low bits of the hash; integer
+        // f64s all have zero low mantissa bits.
+        let low: HashSet<u64> = (0..4096)
+            .map(|i| {
+                let mut h = FxHasher::default();
+                h.write_u64(canon_f64_bits(f64::from(i)));
+                h.finish() & 0xfff
+            })
+            .collect();
+        assert!(
+            low.len() >= 2048,
+            "{} distinct low-12-bit values",
+            low.len()
+        );
+    }
+
+    #[test]
+    fn duplicate_build_keys_match_in_build_row_order() {
+        let probe = keyed("p", Column::I64(vec![7, 3, 8], None), DataType::Int64);
+        let keys = [7, 3, 7, 7, 3];
+        let expected = vec![0, 2, 3, 1, 4];
+        let flat = Column::I64(keys.to_vec(), None);
+        assert_eq!(
+            joined_build_rows(&probe, keyed("b", flat, DataType::Int64)),
+            expected
+        );
+        let float = Column::F64(keys.iter().map(|&k| k as f64).collect(), None);
+        assert_eq!(
+            joined_build_rows(&probe, keyed("b", float, DataType::Float64)),
+            expected
+        );
+        // The composite path (a String key) keeps the same order.
+        let probe = keyed(
+            "p",
+            Column::Str(["7", "3", "8"].into_iter().collect(), None),
+            DataType::Utf8,
+        );
+        let strs = Column::Str(keys.iter().map(|k| k.to_string()).collect(), None);
+        assert_eq!(
+            joined_build_rows(&probe, keyed("b", strs, DataType::Utf8)),
+            expected
+        );
+    }
+
+    #[test]
+    fn int64_beyond_f64_range_matches_only_itself() {
+        let big = (1i64 << 53) + 1;
+        let probe = keyed(
+            "p",
+            Column::I64(vec![big, big - 1, big + 1], None),
+            DataType::Int64,
+        );
+        // A build column holding 2^53 + 1 takes the composite path.
+        let build = Column::I64(vec![big - 1, big, big + 1], None);
+        assert_eq!(
+            joined_build_rows(&probe, keyed("b", build, DataType::Int64)),
+            vec![1, 0, 2]
+        );
+        // A flat (Float64) build: 2^53 + 1 must not match 2^53, the f64
+        // it rounds to.
+        let build = Column::F64(vec![(big - 1) as f64, (big + 1) as f64], None);
+        assert_eq!(
+            joined_build_rows(&probe, keyed("b", build, DataType::Float64)),
+            vec![0, 1]
+        );
+    }
+
+    #[test]
+    fn null_probe_keys_under_outer_and_anti_joins() {
+        let mut p = Column::empty(DataType::Int64);
+        for v in [Value::I64(1), Value::Null, Value::I64(5)] {
+            p.push_value(&v);
+        }
+        let probe = keyed("p", p, DataType::Int64);
+        for flat in [true, false] {
+            let mut b = Column::empty(DataType::Int64);
+            b.push_value(&Value::I64(1));
+            b.push_value(&Value::Null);
+            if !flat {
+                b.push_value(&Value::I64(i64::MAX)); // forces the composite path
+            }
+            let jt = JoinTable::build(keyed("b", b, DataType::Int64), &[0]);
+            let outer = probe_join(&probe, &jt, &[0], JoinKind::LeftOuter, &driver(), None);
+            let payloads: Vec<Value> = (0..outer.rows()).map(|r| outer.value(r, 3)).collect();
+            assert_eq!(
+                payloads,
+                vec![Value::I64(0), Value::Null, Value::Null],
+                "flat {flat}"
+            );
+            let anti = probe_join(&probe, &jt, &[0], JoinKind::LeftAnti, &driver(), None);
+            let rows: Vec<i64> = (0..anti.rows())
+                .map(|r| anti.value(r, 1).as_i64())
+                .collect();
+            assert_eq!(rows, vec![1, 2], "flat {flat}: NULL and 5 have no match");
+        }
+    }
+
+    #[test]
+    fn single_string_key_joins() {
+        let probe = keyed(
+            "p",
+            Column::Str(["b", "z", "a"].into_iter().collect(), None),
+            DataType::Utf8,
+        );
+        let build = Column::Str(["a", "b", "c"].into_iter().collect(), None);
+        assert_eq!(
+            joined_build_rows(&probe, keyed("b", build, DataType::Utf8)),
+            vec![1, 0]
+        );
+    }
+
+    #[test]
+    fn distinct_keys_agree_between_flat_and_composite_index() {
+        let keys = [5i64, 7, 7, 9, 5];
+        let flat = JoinTable::build(
+            keyed("b", Column::I64(keys.to_vec(), None), DataType::Int64),
+            &[0],
+        );
+        let strs = Column::Str(keys.iter().map(|k| k.to_string()).collect(), None);
+        let composite = JoinTable::build(keyed("b", strs, DataType::Utf8), &[0]);
+        assert_eq!(flat.distinct_keys(), 3);
+        assert_eq!(composite.distinct_keys(), 3);
+        // Two key columns take the composite path too.
+        let two = JoinTable::build(
+            keyed("b", Column::I64(keys.to_vec(), None), DataType::Int64),
+            &[0, 1],
+        );
+        assert_eq!(two.distinct_keys(), keys.len());
+    }
+
+    #[test]
+    fn signed_zeros_form_one_group_and_one_distinct_value() {
+        let t = Table::new(
+            Schema::new(vec![
+                Field::new("f", DataType::Float64),
+                Field::new("s", DataType::Utf8),
+            ]),
+            vec![
+                Column::F64(vec![-0.0, 0.0], None),
+                Column::Str(["x", "x"].into_iter().collect(), None),
+            ],
+        );
+        let count = [AggSpec::new(AggFunc::Count, lit(1), "cnt")];
+        // One Float64 column (the flat path) and two columns (composite).
+        for group_by in [&[0][..], &[0, 1]] {
+            let out = aggregate(&t, group_by, &count, AggPhase::Single, &driver(), &[]);
+            assert_eq!(out.rows(), 1, "group by {group_by:?}");
+            assert_eq!(out.value(0, 0), Value::F64(0.0));
+            assert_eq!(out.value(0, group_by.len()), Value::I64(2));
+        }
+        let distinct = [AggSpec::new(AggFunc::CountDistinct, col("f"), "d")];
+        let out = aggregate(&t, &[], &distinct, AggPhase::Single, &driver(), &[]);
+        assert_eq!(out.value(0, 0), Value::I64(1));
+    }
+
+    #[test]
+    fn flat_group_by_matches_composite_groups() {
+        let mut k = Column::empty(DataType::Int64);
+        for v in [3, 1, 3, i64::MIN, 1, 3] {
+            k.push_value(&Value::I64(v));
+        }
+        k.push_value(&Value::Null);
+        k.push_value(&Value::Null);
+        let rows = k.len();
+        let t = Table::new(
+            Schema::new(vec![
+                Field::nullable("k", DataType::Int64),
+                Field::new("row", DataType::Int64),
+                Field::new("c", DataType::Utf8),
+            ]),
+            vec![
+                k,
+                Column::I64((0..rows as i64).collect(), None),
+                Column::Str((0..rows).map(|_| "x").collect(), None),
+            ],
+        );
+        let sum = [AggSpec::new(AggFunc::Sum, col("row"), "s")];
+        let groups = |by: &[usize]| {
+            let out = aggregate(&t, by, &sum, AggPhase::Single, &driver(), &[]);
+            let mut rows: Vec<(Value, f64)> = (0..out.rows())
+                .map(|r| (out.value(r, 0), out.value(r, by.len()).as_f64()))
+                .collect();
+            rows.sort_by(|a, b| value_cmp(&a.0, &b.0));
+            rows
+        };
+        let flat = groups(&[0]);
+        assert_eq!(
+            flat,
+            vec![
+                (Value::I64(i64::MIN), 3.0),
+                (Value::I64(1), 5.0),
+                (Value::I64(3), 7.0),
+                (Value::Null, 13.0),
+            ]
+        );
+        // A constant second key column takes the composite path and must
+        // form the same groups.
+        assert_eq!(groups(&[0, 2]), flat);
     }
 
     #[test]
