@@ -3,9 +3,9 @@
 
 use std::time::Duration;
 
-use hsqp_bench::corrected_time;
+use hsqp_bench::{corrected_time, planned};
 use hsqp_engine::cluster::{Cluster, ClusterConfig};
-use hsqp_engine::queries::{tpch_query, ALL_QUERIES};
+use hsqp_engine::queries::ALL_QUERIES;
 use hsqp_tpch::TpchDb;
 
 const SF: f64 = 0.005;
@@ -16,10 +16,7 @@ fn per_query(cfg: ClusterConfig, db: &TpchDb) -> Vec<Duration> {
     cluster.load_tpch_db(db.clone()).expect("load");
     let times = ALL_QUERIES
         .iter()
-        .map(|&n| {
-            let q = tpch_query(n).expect("query");
-            cluster.run(&q).expect("run").elapsed
-        })
+        .map(|&n| cluster.run(&planned(&cluster, n)).expect("run").elapsed)
         .collect();
     cluster.shutdown();
     times

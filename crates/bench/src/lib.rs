@@ -8,7 +8,8 @@
 use std::time::Duration;
 
 use hsqp_engine::cluster::{Cluster, QueryResult};
-use hsqp_engine::queries::tpch_query;
+use hsqp_engine::planner::Planner;
+use hsqp_engine::queries::{tpch_logical, Query};
 
 /// Result of running a query suite on one cluster configuration.
 #[derive(Debug, Clone)]
@@ -43,6 +44,17 @@ impl SuiteResult {
     }
 }
 
+/// Plan TPC-H query `n` for `cluster` with the distributed planner.
+///
+/// # Panics
+/// Panics when the query number is invalid or planning fails.
+pub fn planned(cluster: &Cluster, n: u32) -> Query {
+    let logical = tpch_logical(n).expect("valid query number");
+    Planner::for_cluster(cluster)
+        .plan_query(&logical)
+        .expect("planning")
+}
+
 /// Run TPC-H queries `numbers` on `cluster` and collect timings.
 ///
 /// # Panics
@@ -52,7 +64,7 @@ pub fn run_suite(cluster: &Cluster, numbers: &[u32]) -> SuiteResult {
     let mut per_query = Vec::with_capacity(numbers.len());
     let mut messages = 0;
     for &n in numbers {
-        let q = tpch_query(n).expect("valid query number");
+        let q = planned(cluster, n);
         let r: QueryResult = cluster.run(&q).expect("query execution");
         per_query.push((n, r.elapsed));
         messages += r.messages_sent;

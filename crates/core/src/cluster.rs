@@ -104,19 +104,6 @@ pub enum EngineKind {
     Classic,
 }
 
-/// How the nodes evaluate filter/map/aggregate expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExprEngine {
-    /// Compile each stage's expressions once, just before it runs, into
-    /// flat [`ExprProgram`](crate::vm::ExprProgram)s run by the vector
-    /// VM; anything that cannot be compiled or bound falls back to the
-    /// tree walker per operator.
-    #[default]
-    Compiled,
-    /// Tree-walking interpreter only (the differential oracle).
-    Ast,
-}
-
 /// Cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -148,9 +135,6 @@ pub struct ClusterConfig {
     /// thread; turning it off removes even that overhead for benchmark
     /// baselines.
     pub profiling: bool,
-    /// Expression engine: compiled vector programs (default) or the
-    /// tree-walking oracle.
-    pub expr_engine: ExprEngine,
     /// Dispatcher slots and pre-registered tenants. Each in-flight
     /// query's stages run SPMD over the shared multiplexers.
     pub dispatch: DispatchConfig,
@@ -174,7 +158,6 @@ impl ClusterConfig {
             placement: Placement::Chunked,
             switch_contention: true,
             profiling: true,
-            expr_engine: ExprEngine::Compiled,
             dispatch: DispatchConfig::default(),
         }
     }
@@ -229,7 +212,6 @@ impl ClusterConfig {
 /// profiling clock.
 struct LocalNodes {
     nodes: Vec<Arc<NodeCtx>>,
-    expr_engine: ExprEngine,
     fabric: Arc<Fabric>,
     scheduler: Option<Arc<NetScheduler>>,
 }
@@ -253,10 +235,7 @@ impl NodeSet for LocalNodes {
     ) -> Result<StageOutput, EngineError> {
         // Compile once on node 0 (every node holds the same schemas) and
         // share the programs across the node threads.
-        let programs = match self.expr_engine {
-            ExprEngine::Compiled => compile_on_node(&self.nodes[0], job.query, &job.stage.plan),
-            ExprEngine::Ast => None,
-        };
+        let programs = compile_on_node(&self.nodes[0], job.query, &job.stage.plan);
         let run_node = |i: usize, ctx: &NodeCtx| {
             execute_on_node(ctx, job, programs.as_ref(), recorder.map(|r| r.node(i))).map_err(
                 |msg| {
@@ -429,7 +408,6 @@ impl Cluster {
 
         let local = Arc::new(LocalNodes {
             nodes,
-            expr_engine: cfg.expr_engine,
             fabric,
             scheduler,
         });
@@ -748,7 +726,7 @@ mod tests {
         })
         .unwrap();
         c.load_tpch(0.001).unwrap();
-        // A hand-written plan naming a nonexistent column panics inside
+        // A physical plan naming a nonexistent column panics inside
         // the node threads (it never went through the planner's checks).
         let bad = Query::single(
             0,

@@ -19,16 +19,17 @@
 //!   partition ownership, no stealing, no scheduling) is implemented for
 //!   comparison, as are chunked vs partitioned data placement.
 //!
-//! [`queries`] contains hand-built physical plans for all 22 TPC-H queries
-//! (the paper's workload); [`cluster`] is the SPMD driver that runs a plan
-//! across all simulated servers and gathers the result.
+//! [`queries`] contains all 22 TPC-H queries (the paper's workload) as
+//! logical queries; [`cluster`] is the SPMD driver that runs a physical
+//! plan across all simulated servers and gathers the result.
 //!
 //! Queries are written against the [`logical`] plan builder and lowered by
 //! the distributed [`planner`], which places exchange operators, chooses
 //! broadcast vs repartition joins, and inserts pre-aggregation
 //! automatically; [`session`] wraps cluster + planner behind one
-//! programmable facade. The hand-written physical plans in [`queries`]
-//! remain as the differential-testing oracle.
+//! programmable facade. The planner is the only source of physical TPC-H
+//! plans; the integration tests check its results against an independent
+//! single-threaded reference interpreter.
 //!
 //! Queries are *submitted*, not merely run:
 //! [`Session::submit`](session::Session::submit) returns a
@@ -74,8 +75,7 @@ pub mod vm;
 pub mod wire;
 
 pub use cluster::{
-    Cluster, ClusterConfig, Coordinator, EngineKind, ExprEngine, QueryHandle, QueryResult,
-    Transport,
+    Cluster, ClusterConfig, Coordinator, EngineKind, QueryHandle, QueryResult, Transport,
 };
 pub use cost::CostModel;
 pub use error::EngineError;

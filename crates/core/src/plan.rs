@@ -1,10 +1,10 @@
 //! Physical query plans.
 //!
-//! Plans are trees of physical operators, built by hand per query (the
-//! paper's plans are produced by HyPer's optimizer; ours are the unnested,
-//! distributed plans of Figure 6 written out explicitly). Exchange
-//! operators mark where tuples cross server boundaries; everything else
-//! runs node-locally with morsel-driven parallelism.
+//! Plans are trees of physical operators. The paper's plans are produced
+//! by HyPer's optimizer; ours are the unnested, distributed plans of
+//! Figure 6 as the [`planner`](crate::planner) lowers them from logical
+//! queries. Exchange operators mark where tuples cross server boundaries;
+//! everything else runs node-locally with morsel-driven parallelism.
 
 use hsqp_storage::DataType;
 use hsqp_tpch::TpchTable;

@@ -89,8 +89,7 @@ pub struct PlannerConfig {
     pub broadcast_max_rows: f64,
     /// Base-relation cardinalities.
     pub stats: TableStats,
-    /// How estimates are sourced: legacy flat heuristics
-    /// ([`StatsMode::Off`]), catalog-driven costing
+    /// How estimates are sourced: catalog-driven costing
     /// ([`StatsMode::Static`]), or costing plus runtime feedback
     /// ([`StatsMode::Feedback`]).
     pub mode: StatsMode,
@@ -259,21 +258,6 @@ impl Planner {
         CostModel::new(self.cfg.nodes, self.cfg.broadcast_max_rows)
     }
 
-    /// Whether cost-model decisions (vs the legacy hard-coded rules) are
-    /// active.
-    fn costed(&self) -> bool {
-        self.cfg.mode != StatsMode::Off
-    }
-
-    /// The column-statistics catalog, when stats-driven estimation is on.
-    fn catalog(&self) -> Option<&StatsCatalog> {
-        if self.cfg.mode == StatsMode::Off {
-            None
-        } else {
-            self.cfg.catalog.as_deref()
-        }
-    }
-
     /// Record a priced decision for `--explain`.
     fn note(&mut self, d: crate::cost::Decision) {
         self.notes.push(d.render());
@@ -293,7 +277,7 @@ impl Planner {
     }
 
     /// Like [`plan`](Self::plan), but also returns the rendered cost-model
-    /// decisions made while lowering (empty in [`StatsMode::Off`]).
+    /// decisions made while lowering.
     pub fn plan_explained(
         &self,
         logical: &LogicalPlan,
@@ -333,8 +317,7 @@ impl Planner {
     }
 
     /// Like [`plan_query`](Self::plan_query), but also returns the
-    /// rendered cost-model decisions, one `Vec` per emitted stage (empty
-    /// in [`StatsMode::Off`]).
+    /// rendered cost-model decisions, one `Vec` per emitted stage.
     pub fn plan_query_explained(
         &self,
         query: &LogicalQuery,
@@ -566,7 +549,7 @@ impl Planner {
     /// the column catalog when stats are on, flat per-operator heuristics
     /// otherwise.
     fn sel(&self, e: &Expr) -> f64 {
-        let Some(cat) = self.catalog() else {
+        let Some(cat) = self.cfg.catalog.as_deref() else {
             return selectivity(e);
         };
         self.sel_with(cat, e)
@@ -645,7 +628,7 @@ impl Planner {
         match kind {
             JoinKind::LeftSemi | JoinKind::LeftAnti => (l_est * 0.5).max(1.0),
             JoinKind::Inner | JoinKind::LeftOuter => {
-                let containment = self.catalog().and_then(|cat| {
+                let containment = self.cfg.catalog.as_deref().and_then(|cat| {
                     left_keys
                         .iter()
                         .zip(right_keys)
@@ -674,7 +657,7 @@ impl Planner {
     /// Group-count estimate: capped NDV product over the group columns
     /// when stats cover all of them, a flat 10% of the input otherwise.
     fn group_estimate(&self, group_by: &[String], input_rows: f64) -> f64 {
-        if let Some(cat) = self.catalog() {
+        if let Some(cat) = self.cfg.catalog.as_deref() {
             let ndvs: Vec<Option<f64>> = group_by
                 .iter()
                 .map(|g| cat.column_anywhere(g).map(|c| c.ndv))
@@ -859,7 +842,7 @@ impl Planner {
         // column at load time with the same CRC32 bucketing the exchange
         // operators use, so a scan that keeps that column is already
         // co-partitioned for joins on it — no exchange needed.
-        let part = if self.cfg.partitioned && self.costed() {
+        let part = if self.cfg.partitioned {
             let key = table_columns(table).remove(0);
             if cols.contains(&key) {
                 let mut class = BTreeSet::new();
@@ -939,7 +922,6 @@ impl Planner {
         }
         check_unique(&cols, "join output")?;
 
-        let n = f64::from(self.cfg.nodes);
         let est = self.join_estimate(l.est, r.est, left_keys, right_keys, kind);
 
         // Coordinator-only inputs: align the other side on node 0 too.
@@ -978,7 +960,7 @@ impl Planner {
                 JoinStrategy::Repartition => false,
                 // §3.2: broadcast when shipping (n−1) copies of the build
                 // side is cheaper than repartitioning both inputs.
-                JoinStrategy::Auto if self.costed() => {
+                JoinStrategy::Auto => {
                     let site = format!("join on {}={}", left_keys.join(","), right_keys.join(","));
                     let (b, d) = self.cost_model().join_exchange(
                         site,
@@ -991,12 +973,6 @@ impl Planner {
                     );
                     self.note(d);
                     b
-                }
-                // Legacy flat rule: the factor 2 charges the replicated
-                // hash-table build every node then has to do on top of the
-                // network transfer.
-                JoinStrategy::Auto => {
-                    r.est <= self.cfg.broadcast_max_rows || 2.0 * r.est * (n - 1.0) <= l.est
                 }
             }
         };
@@ -1170,7 +1146,7 @@ impl Planner {
         // against reshuffling the raw input once.
         let pre_aggregate = if has_distinct {
             false
-        } else if self.costed() {
+        } else {
             let (pre, d) = self.cost_model().pre_aggregation(
                 format!("aggregate by {}", group_by.join(",")),
                 child.est,
@@ -1180,8 +1156,6 @@ impl Planner {
             );
             self.note(d);
             pre
-        } else {
-            true
         };
         if !pre_aggregate {
             // Reshuffle the raw input by group key, aggregate once.
@@ -1529,18 +1503,13 @@ impl QueryPlanner {
                 let consumers = self.consumers.get(&name).copied().unwrap_or(0).max(1);
                 let (mplan, part) = match part {
                     p @ (Part::Any | Part::Hash(_)) => {
-                        let broadcast = if self.p.costed() {
-                            let (b, d) = self.p.cost_model().cte_placement(
-                                format!("cte {name}"),
-                                est,
-                                cols.len(),
-                                consumers,
-                            );
-                            self.p.note(d);
-                            b
-                        } else {
-                            est <= self.p.cfg.broadcast_max_rows
-                        };
+                        let (broadcast, d) = self.p.cost_model().cte_placement(
+                            format!("cte {name}"),
+                            est,
+                            cols.len(),
+                            consumers,
+                        );
+                        self.p.note(d);
                         if broadcast {
                             (lowered.broadcast(), Part::Replicated)
                         } else {
@@ -2399,7 +2368,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_off_ignores_feedback_observations() {
+    fn static_mode_ignores_feedback_observations() {
         use crate::logical::LogicalQuery;
         let q = LogicalQuery::cte(
             "big",
@@ -2408,14 +2377,14 @@ mod tests {
         .then(LogicalPlan::from_cte("big"));
         let fb = Arc::new(FeedbackCache::new());
         let mut cfg = PlannerConfig::new(4);
-        cfg.mode = StatsMode::Off;
+        cfg.mode = StatsMode::Static;
         cfg.feedback = Some(Arc::clone(&fb));
         let p = Planner::new(cfg);
         let mut qp = p.begin_query(&q).unwrap();
         while let Some(_stage) = qp.next_stage().unwrap() {
             qp.observe_rows(&[1, 1, 1, 1]);
         }
-        assert!(fb.is_empty(), "Off mode must not record feedback");
+        assert!(fb.is_empty(), "Static mode must not record feedback");
     }
 
     #[test]
@@ -2445,11 +2414,6 @@ mod tests {
             notes.iter().any(|n| n.contains("broadcast")),
             "⋈ nation must log a broadcast decision: {notes:?}"
         );
-        // StatsMode::Off keeps the legacy silent heuristics.
-        let mut cfg = PlannerConfig::new(4);
-        cfg.mode = StatsMode::Off;
-        let (_plan, notes) = Planner::new(cfg).plan_explained(&lp).unwrap();
-        assert!(notes.is_empty(), "Off mode records no decisions: {notes:?}");
     }
 
     #[test]

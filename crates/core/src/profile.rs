@@ -373,7 +373,7 @@ pub struct StageProfile {
     /// `materialize "name"`).
     pub role: String,
     /// The planner's cardinality estimate for the stage result (None for
-    /// hand-written plans, which carry no estimates).
+    /// stages built directly as physical plans, which carry no estimates).
     pub estimated_rows: Option<f64>,
     /// The feedback-corrected cardinality that overrode the static
     /// estimate, when the stage was planned in feedback mode against a

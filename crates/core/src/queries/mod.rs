@@ -1,30 +1,21 @@
-//! Hand-built distributed physical plans for all 22 TPC-H queries.
+//! Physical queries and the 22 TPC-H queries.
 //!
-//! Plans follow the shape of Figure 6: unnested single-server plans with
-//! exchange operators inserted where tuples must cross servers, plus the
-//! two classic optimizations — broadcasting small join inputs instead of
-//! hash-partitioning both sides, and pre-aggregation before reshuffling
-//! group-by results. Correlated subqueries are manually decorrelated the
-//! way HyPer's optimizer unnests them; scalar subqueries (e.g. Q17's
-//! per-part average) become earlier *stages* whose first result row binds
-//! [`Expr::Param`](crate::expr::Expr::Param) values for the final stage.
+//! [`builder`] writes each TPC-H query against the logical
+//! [`LogicalQuery`](crate::logical::LogicalQuery) API, and the
+//! [`planner`](crate::planner) lowers it to a physical [`Query`]: the
+//! unnested, distributed plans of Figure 6, with exchange operators where
+//! tuples must cross servers, broadcast or repartitioned joins, and
+//! pre-aggregation before reshuffling group-by results. Scalar subqueries
+//! (e.g. Q22's average balance) become earlier *stages* whose first result
+//! row binds [`Expr::Param`](crate::expr::Expr::Param) values for the
+//! final stage.
 
 use crate::error::EngineError;
 use crate::plan::Plan;
 
-mod aggregates;
 pub mod builder;
-mod helpers;
 
-pub use aggregates::q1_no_preagg;
 pub use builder::tpch_logical;
-pub use helpers::{dist_agg, dist_agg_nopre, global_agg};
-mod joins;
-mod subqueries;
-
-/// Q22's country-code prefixes — spec input shared by the handwritten and
-/// builder variants so the two cannot silently diverge.
-pub(crate) const Q22_CODES: [&str; 7] = ["13", "31", "23", "29", "30", "18", "17"];
 
 /// What the cluster does with one stage's output.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,8 +51,8 @@ pub struct QueryStage {
     /// What happens to its output.
     pub role: StageRole,
     /// The planner's cardinality estimate for the stage result, compared
-    /// against profiled actuals in EXPLAIN output. `None` for hand-written
-    /// plans, which carry no estimates.
+    /// against profiled actuals in EXPLAIN output. `None` for stages built
+    /// directly as physical plans rather than lowered by the planner.
     pub estimated_rows: Option<f64>,
     /// The feedback-corrected cardinality that overrode the static
     /// estimate, when the planner ran in
@@ -96,24 +87,6 @@ impl Query {
         }
     }
 
-    /// Multi-stage query: every stage before the last binds its first
-    /// result row as parameters for later stages; the last produces the
-    /// result. Fails with [`EngineError::Planner`] when `stages` is empty.
-    pub fn staged(number: u32, stages: Vec<Plan>) -> Result<Self, EngineError> {
-        Self::from_stages(
-            number,
-            stages
-                .into_iter()
-                .map(|plan| QueryStage {
-                    plan,
-                    role: StageRole::Params,
-                    estimated_rows: None,
-                    feedback_rows: None,
-                })
-                .collect(),
-        )
-    }
-
     /// Build a query from fully described stages. The last stage's role is
     /// forced to [`StageRole::Result`]; fails with [`EngineError::Planner`]
     /// when `stages` is empty or a non-final stage is marked `Result`.
@@ -136,36 +109,6 @@ impl Query {
     }
 }
 
-/// Build the distributed plan for TPC-H query `n` (1–22).
-pub fn tpch_query(n: u32) -> Result<Query, EngineError> {
-    let q = match n {
-        1 => aggregates::q1(),
-        2 => subqueries::q2(),
-        3 => joins::q3(),
-        4 => subqueries::q4(),
-        5 => joins::q5(),
-        6 => aggregates::q6(),
-        7 => joins::q7(),
-        8 => joins::q8(),
-        9 => joins::q9(),
-        10 => joins::q10(),
-        11 => subqueries::q11()?,
-        12 => joins::q12(),
-        13 => aggregates::q13(),
-        14 => joins::q14(),
-        15 => subqueries::q15()?,
-        16 => aggregates::q16(),
-        17 => subqueries::q17(),
-        18 => subqueries::q18(),
-        19 => joins::q19(),
-        20 => subqueries::q20(),
-        21 => subqueries::q21(),
-        22 => subqueries::q22()?,
-        _ => return Err(EngineError::UnknownQuery(n)),
-    };
-    Ok(q)
-}
-
 /// All 22 query numbers.
 pub const ALL_QUERIES: [u32; 22] = [
     1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22,
@@ -176,44 +119,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_queries_build() {
-        for n in ALL_QUERIES {
-            let q = tpch_query(n).unwrap();
-            assert_eq!(q.number, n);
-            assert!(!q.stages.is_empty());
-        }
-    }
-
-    #[test]
-    fn unknown_query_rejected() {
-        assert_eq!(tpch_query(0).unwrap_err(), EngineError::UnknownQuery(0));
-        assert_eq!(tpch_query(23).unwrap_err(), EngineError::UnknownQuery(23));
-    }
-
-    #[test]
-    fn every_query_gathers_at_the_coordinator() {
-        for n in ALL_QUERIES {
-            let q = tpch_query(n).unwrap();
-            for stage in &q.stages {
-                assert!(
-                    stage.plan.exchange_count() > 0,
-                    "query {n} stage has no exchange (cannot gather)"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn stage_roles_are_validated() {
         assert!(matches!(
-            Query::staged(1, vec![]),
+            Query::from_stages(1, vec![]),
             Err(EngineError::Planner(_))
         ));
-        let q = Query::staged(
-            11,
-            vec![Plan::scan(hsqp_tpch::TpchTable::Nation).gather(); 2],
-        )
-        .unwrap();
+        let params = QueryStage {
+            plan: Plan::scan(hsqp_tpch::TpchTable::Nation).gather(),
+            role: StageRole::Params,
+            estimated_rows: None,
+            feedback_rows: None,
+        };
+        let q = Query::from_stages(11, vec![params.clone(), params]).unwrap();
         assert_eq!(q.stages[0].role, StageRole::Params);
         assert_eq!(q.stages[1].role, StageRole::Result);
         assert!(matches!(

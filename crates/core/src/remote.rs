@@ -1083,8 +1083,16 @@ fn dial_retry(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
 mod tests {
     use super::*;
     use crate::plan::Plan;
-    use crate::queries::{tpch_query, Query};
+    use crate::planner::{Planner, PlannerConfig};
+    use crate::queries::{tpch_logical, Query};
     use crate::serve::SubmitOptions;
+
+    /// TPC-H query `n` as the planner lowers it for a 2-node cluster.
+    fn planned(n: u32) -> Query {
+        Planner::new(PlannerConfig::new(2))
+            .plan_query(&tpch_logical(n).unwrap())
+            .unwrap()
+    }
 
     /// Spawn `n` node servers on loopback threads and return their
     /// addresses (in-process stand-ins for `hsqp-node` child processes;
@@ -1131,7 +1139,7 @@ mod tests {
             rows
         };
         for qn in [1u32, 3, 6, 11] {
-            let q = tpch_query(qn).unwrap();
+            let q = planned(qn);
             let remote = pc.run(&q).unwrap();
             let reference = local.run(&q).unwrap();
             assert_eq!(remote.table.schema(), reference.table.schema(), "Q{qn}");
@@ -1168,7 +1176,7 @@ mod tests {
             other => panic!("expected contained failure, got {other:?}"),
         }
         // The cluster survives for the next query.
-        let ok = tpch_query(6).unwrap();
+        let ok = planned(6);
         assert!(pc.run(&ok).is_ok());
         pc.shutdown();
     }
@@ -1181,7 +1189,7 @@ mod tests {
         // A heavy multi-join with a deadline far below its runtime: the
         // nodes stop at a morsel boundary and the coordinator returns the
         // typed error instead of wedging on the stage replies.
-        let q = tpch_query(9).unwrap();
+        let q = planned(9);
         let opts = SubmitOptions::tenant("gold").with_deadline(Duration::from_millis(2));
         match pc.run_with(&q, &opts) {
             Err(EngineError::DeadlineExceeded) => {}
@@ -1189,7 +1197,7 @@ mod tests {
         }
         // The cluster survives for the next query, and the tenant tag
         // rides along on the successful path too.
-        let ok = tpch_query(6).unwrap();
+        let ok = planned(6);
         let r = pc.run_with(&ok, &SubmitOptions::tenant("gold")).unwrap();
         assert!(r.table.rows() > 0);
         assert!(r.queue_wait <= r.elapsed);
@@ -1201,7 +1209,7 @@ mod tests {
         let addrs = spawn_nodes(2);
         let pc = ProcessCluster::connect(&addrs, ProcessClusterConfig::default()).unwrap();
         pc.load_tpch(0.001).unwrap();
-        let q = tpch_query(3).unwrap();
+        let q = planned(3);
         let r = pc.run(&q).unwrap();
         assert!(r.bytes_shuffled > 0, "a join at 2 nodes must shuffle");
         assert!(r.messages_sent > 0);

@@ -31,9 +31,7 @@ use std::sync::Arc;
 
 use hsqp_tpch::TpchDb;
 
-use crate::cluster::{
-    Cluster, ClusterConfig, EngineKind, ExprEngine, QueryHandle, QueryResult, Transport,
-};
+use crate::cluster::{Cluster, ClusterConfig, EngineKind, QueryHandle, QueryResult, Transport};
 use crate::error::EngineError;
 use crate::logical::{LogicalPlan, LogicalQuery};
 use crate::plan::Plan;
@@ -109,13 +107,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Expression engine: the compiled vector VM (default) or the
-    /// tree-walking AST interpreter retained as the differential oracle.
-    pub fn expr_engine(mut self, engine: ExprEngine) -> Self {
-        self.cfg.expr_engine = engine;
-        self
-    }
-
     /// Declare a tenant up front: its weighted-fair share and admission
     /// caps (tenants not declared here self-register with defaults on
     /// first submit — weight 1, no caps). Call once per tenant.
@@ -138,9 +129,8 @@ impl SessionBuilder {
     }
 
     /// How the planner sources cardinality estimates (default
-    /// [`StatsMode::Static`]): `Off` reverts to the legacy flat
-    /// heuristics, `Static` prices alternatives against the sampled
-    /// statistics catalog, and `Feedback` additionally re-plans later
+    /// [`StatsMode::Static`]): `Static` prices alternatives against the
+    /// sampled statistics catalog, and `Feedback` additionally re-plans later
     /// stages of multi-stage queries against observed cardinalities and
     /// remembers them across submissions in the session's
     /// [`FeedbackCache`].
@@ -206,10 +196,6 @@ impl Session {
         let mut p = Planner::for_cluster(&self.cluster);
         let cfg = p.config_mut();
         cfg.mode = self.stats;
-        if self.stats == StatsMode::Off {
-            cfg.catalog = None;
-            cfg.partitioned = false;
-        }
         cfg.feedback = Some(Arc::clone(&self.feedback));
         p
     }
@@ -293,24 +279,11 @@ impl Session {
         self.cluster.submit_with(&physical, opts)
     }
 
-    /// Submit a hand-written physical [`Query`] for concurrent execution
-    /// (the differential-testing oracle and the escape hatch for plans the
-    /// planner cannot express).
-    pub fn submit_physical(&self, query: &Query) -> Result<QueryHandle, EngineError> {
-        self.cluster.submit(query)
-    }
-
     /// Plan and execute a query, returning the coordinator's result —
     /// blocking sugar for [`submit`](Self::submit) followed by
     /// [`QueryHandle::wait`].
     pub fn run(&self, query: impl Into<LogicalQuery>) -> Result<QueryResult, EngineError> {
         self.submit(query)?.wait()
-    }
-
-    /// Execute a hand-written physical [`Query`] to completion (blocking
-    /// sugar for [`submit_physical`](Self::submit_physical)).
-    pub fn run_query(&self, query: &Query) -> Result<QueryResult, EngineError> {
-        self.submit_physical(query)?.wait()
     }
 
     /// The underlying cluster (fabric statistics, explicit table loading).

@@ -18,9 +18,8 @@
 //!
 //! The tree-walking evaluator in [`crate::expr`] remains the semantic
 //! oracle: for every expression both engines must produce the same values,
-//! the same validity, and panic on the same inputs. A cluster can be
-//! switched back to it with
-//! [`ExprEngine::Ast`](crate::cluster::ExprEngine).
+//! the same validity, and panic on the same inputs. Execution falls back
+//! to it per operator when a program cannot be compiled or bound.
 
 use std::collections::HashMap;
 use std::fmt;

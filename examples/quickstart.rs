@@ -5,7 +5,8 @@
 //! ```
 
 use hsqp::engine::cluster::{Cluster, ClusterConfig};
-use hsqp::engine::queries::tpch_query;
+use hsqp::engine::planner::Planner;
+use hsqp::engine::queries::tpch_logical;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 3-server cluster over simulated 4xQDR InfiniBand with the paper's
@@ -16,8 +17,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // servers exactly as dbgen would (no redistribution, §4.1).
     cluster.load_tpch(0.01)?;
 
-    // TPC-H Q1: the pricing summary report.
-    let query = tpch_query(1)?;
+    // TPC-H Q1: the pricing summary report, lowered to a distributed plan
+    // by the planner from the cluster's loaded row counts and statistics.
+    let query = Planner::for_cluster(&cluster).plan_query(&tpch_logical(1)?)?;
     let result = cluster.run(&query)?;
 
     println!(

@@ -12,8 +12,8 @@
 //! * [`tpch`] — a deterministic TPC-H-shaped data generator,
 //! * [`engine`] — the distributed query engine itself: hybrid parallelism,
 //!   decoupled exchange operators, the RDMA-based communication multiplexer,
-//!   the logical plan builder + distributed planner, and physical plans for
-//!   all 22 TPC-H queries.
+//!   the logical plan builder + distributed planner, and all 22 TPC-H
+//!   queries written against the builder.
 //!
 //! ## Quickstart
 //!
@@ -40,16 +40,21 @@
 //! session.shutdown();
 //! ```
 //!
-//! The hand-written distributed plans remain available as the oracle:
+//! The 22 TPC-H queries are logical queries too; a
+//! [`Planner`](engine::planner::Planner) lowers one for a running cluster:
 //!
 //! ```
 //! use hsqp::engine::cluster::{Cluster, ClusterConfig};
+//! use hsqp::engine::planner::Planner;
 //! use hsqp::engine::queries;
 //!
 //! // A 2-node simulated cluster over the RDMA transport.
 //! let cluster = Cluster::start(ClusterConfig::quick(2)).unwrap();
 //! cluster.load_tpch(0.001).unwrap();
-//! let result = cluster.run(&queries::tpch_query(1).unwrap()).unwrap();
+//! let q1 = Planner::for_cluster(&cluster)
+//!     .plan_query(&queries::tpch_logical(1).unwrap())
+//!     .unwrap();
+//! let result = cluster.run(&q1).unwrap();
 //! assert!(result.row_count() > 0);
 //! cluster.shutdown();
 //! ```

@@ -1,13 +1,15 @@
 //! Smoke test for the `hsqp` end-to-end driver binary: a 2-node SF 0.01
-//! run must complete, emit well-formed JSON, and report a row count for
-//! Q1 that matches the library-level correctness oracle (the same query
-//! run through `Cluster::run` directly).
+//! run must complete, emit well-formed JSON, and report row counts that
+//! match the reference interpreter's answers.
+
+mod common;
 
 use std::collections::HashMap;
 use std::process::Command;
 
-use hsqp::engine::cluster::{Cluster, ClusterConfig};
-use hsqp::engine::queries::tpch_query;
+use common::reference;
+use hsqp::engine::queries::tpch_logical;
+use hsqp::tpch::TpchDb;
 
 /// A minimal JSON value, parsed by [`parse_json`]. Enough structure to
 /// verify well-formedness and pull scalar fields out of the report.
@@ -184,16 +186,22 @@ fn parse_value(b: &[char], pos: &mut usize) -> Json {
     }
 }
 
-/// The oracle: Q1's result cardinality from a direct library run.
+/// The oracle: each query's result cardinality from the reference
+/// interpreter.
+fn reference_rows(sf: f64, queries: &[u32]) -> Vec<usize> {
+    let db = TpchDb::generate(sf);
+    queries
+        .iter()
+        .map(|&n| {
+            reference::run(&db, &tpch_logical(n).expect("query number"))
+                .expect("reference run")
+                .rows()
+        })
+        .collect()
+}
+
 fn oracle_q1_rows(sf: f64) -> usize {
-    let cluster = Cluster::start(ClusterConfig::quick(1)).expect("oracle cluster");
-    cluster.load_tpch(sf).expect("oracle load");
-    let result = cluster
-        .run(&tpch_query(1).expect("q1"))
-        .expect("oracle run");
-    let rows = result.row_count();
-    cluster.shutdown();
-    rows
+    reference_rows(sf, &[1])[0]
 }
 
 #[test]
@@ -231,7 +239,7 @@ fn driver_2node_sf001_emits_wellformed_json() {
     assert_eq!(
         q1.get("rows").num() as usize,
         oracle_q1_rows(sf),
-        "driver row count for Q1 must match the library oracle"
+        "driver row count for Q1 must match the reference"
     );
 }
 
@@ -277,7 +285,7 @@ fn driver_clients_mode_reports_throughput_and_matching_rows() {
     assert_eq!(
         queries[0].get("rows").num() as usize,
         oracle_q1_rows(sf),
-        "concurrent row count for Q1 must match the library oracle"
+        "concurrent row count for Q1 must match the reference"
     );
 }
 
@@ -296,13 +304,9 @@ fn driver_rejects_bad_flags() {
         &["--clients", "0"][..],
         &["--rounds", "0"][..],
         &["--clients", "many"][..],
-        &["--plan-mode", "telepathy"][..],
-        // Out-of-range query numbers must be usage errors in builder mode
-        // too, not a panic deep in the engine.
-        &["--plan-mode", "builder", "--queries", "23"][..],
+        &["--stats", "off"][..],
+        &["--stats", "feedback", "--queries", "23"][..],
         &["--transport", "carrier-pigeon"][..],
-        &["--expr-engine", "llvm"][..],
-        &["--expr-engine", ""][..],
         &["--frobnicate", "yes"][..],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_hsqp"))
@@ -318,9 +322,14 @@ fn driver_rejects_bad_flags() {
     }
 }
 
+/// Both stats modes plan differently but must answer identically: the
+/// driver's row counts under `--stats static` and `--stats feedback`
+/// match the reference interpreter's.
 #[test]
-fn driver_builder_mode_matches_handwritten_row_counts() {
-    let run = |mode: &str| {
+fn driver_row_counts_match_reference() {
+    let queries = [1, 2, 6, 12, 15];
+    let expected = reference_rows(0.005, &queries);
+    for stats in ["static", "feedback"] {
         let out = Command::new(env!("CARGO_BIN_EXE_hsqp"))
             .args([
                 "--sf",
@@ -329,35 +338,27 @@ fn driver_builder_mode_matches_handwritten_row_counts() {
                 "2",
                 "--queries",
                 "1,2,6,12,15",
-                "--plan-mode",
-                mode,
+                "--stats",
+                stats,
             ])
             .output()
             .expect("driver ran");
         assert!(
             out.status.success(),
-            "{mode} driver failed\nstderr: {}",
+            "--stats {stats} driver failed\nstderr: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        parse_json(&String::from_utf8(out.stdout).expect("utf8 stdout"))
-    };
-    let hand = run("handwritten");
-    let built = run("builder");
-    assert_eq!(hand.get("plan_mode"), &Json::Str("handwritten".into()));
-    assert_eq!(built.get("plan_mode"), &Json::Str("builder".into()));
-    for (h, b) in hand
-        .get("queries")
-        .arr()
-        .iter()
-        .zip(built.get("queries").arr())
-    {
-        assert_eq!(h.get("query").num(), b.get("query").num());
-        assert_eq!(
-            h.get("rows").num(),
-            b.get("rows").num(),
-            "row counts must match for query {}",
-            h.get("query").num()
-        );
+        let report = parse_json(&String::from_utf8(out.stdout).expect("utf8 stdout"));
+        let got = report.get("queries").arr();
+        assert_eq!(got.len(), queries.len());
+        for ((q, n), rows) in got.iter().zip(queries).zip(&expected) {
+            assert_eq!(q.get("query").num(), f64::from(n));
+            assert_eq!(
+                q.get("rows").num() as usize,
+                *rows,
+                "--stats {stats}: Q{n} row count must match the reference"
+            );
+        }
     }
 }
 
@@ -477,28 +478,23 @@ fn driver_observability_flags_and_bench_check_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--explain` under the default vm expression engine prints the compiled
-/// program for every filter / map / aggregate input; under `--expr-engine
-/// ast` it prints the plain operator tree only.
+/// `--explain` prints the compiled program for every filter / map /
+/// aggregate input.
 #[test]
 fn driver_explain_prints_compiled_programs() {
-    let explain = |engine: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_hsqp"))
-            .args(["--queries", "6", "--explain", "--expr-engine", engine])
-            .output()
-            .expect("driver ran");
-        assert!(
-            out.status.success(),
-            "explain ({engine}) failed\nstderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8(out.stdout).expect("utf8 stdout")
-    };
-
-    let vm = explain("vm");
+    let out = Command::new(env!("CARGO_BIN_EXE_hsqp"))
+        .args(["--queries", "6", "--explain"])
+        .output()
+        .expect("driver ran");
     assert!(
-        vm.contains("vm exprs"),
-        "banner must name the engine:\n{vm}"
+        out.status.success(),
+        "explain failed\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let vm = String::from_utf8(out.stdout).expect("utf8 stdout");
+    assert!(
+        vm.starts_with("== Q6 ("),
+        "block must open with the query banner:\n{vm}"
     );
     assert!(
         vm.contains("(p0") || vm.contains("(p0)"),
@@ -511,13 +507,6 @@ fn driver_explain_prints_compiled_programs() {
     assert!(
         vm.contains("cmp_i64") && vm.contains("arith_f64"),
         "listings must show typed kernels:\n{vm}"
-    );
-
-    let ast = explain("ast");
-    assert!(ast.contains("ast exprs"), "{ast}");
-    assert!(
-        !ast.contains("p0 ="),
-        "ast mode must not print compiled programs:\n{ast}"
     );
 }
 

@@ -5,13 +5,16 @@
 //! overlapping multi-stage queries with identically named temps must stay
 //! namespace-isolated.
 
+mod common;
+
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use common::plan_tpch_for;
 use hsqp::engine::cluster::{Cluster, ClusterConfig, Coordinator, QueryHandle};
 use hsqp::engine::error::EngineError;
 use hsqp::engine::planner::Planner;
-use hsqp::engine::queries::{tpch_logical, tpch_query, Query, ALL_QUERIES};
+use hsqp::engine::queries::{tpch_logical, Query, ALL_QUERIES};
 use hsqp::engine::remote::{NodeServer, ProcessCluster, ProcessClusterConfig};
 use hsqp::engine::serve::DispatchConfig;
 use hsqp::tpch::TpchDb;
@@ -219,7 +222,7 @@ fn cancel_without_wedging(
     // A cancel on a query the dispatcher is running resolves promptly as
     // `Cancelled`. A run that finishes before the cancel lands (a loaded
     // host can deschedule this thread for the whole query) is retried.
-    let q9 = tpch_query(9).unwrap();
+    let q9 = plan_tpch_for(2, 9);
     let q9_rows = cluster.run(&q9).unwrap().row_count();
     let took = (0..10)
         .find_map(|_| {

@@ -2,6 +2,8 @@
 //! multiplexer path: broadcast retain behaviour, gather, classic-mode
 //! per-unit broadcast cost, message-pool accounting, and shuffle metrics.
 
+mod common;
+
 use hsqp::engine::cluster::{Cluster, ClusterConfig, EngineKind, Transport};
 use hsqp::engine::expr::{col, lit};
 use hsqp::engine::plan::{AggSpec, JoinKind, Plan, SortKey};
@@ -197,7 +199,7 @@ fn polling_completion_mode_works_end_to_end() {
     };
     let c = Cluster::start(cfg).unwrap();
     c.load_tpch(0.001).unwrap();
-    let q = hsqp::engine::queries::tpch_query(6).unwrap();
+    let q = common::plan_tpch(&c, 6);
     let r = c.run(&q).unwrap();
     assert_eq!(r.row_count(), 1);
     c.shutdown();

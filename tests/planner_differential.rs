@@ -1,81 +1,82 @@
-//! Differential tests for the distributed planner: all 22 TPC-H queries on
-//! the logical query builder must produce results identical to their
-//! hand-written physical plans (the oracle), on 2- and 4-node clusters —
-//! plus property tests that random filter/aggregate logical plans and
-//! random multi-stage `LogicalQuery`s (random parameter arity, CTE reuse)
-//! lower through the planner without panicking.
+//! Differential tests for the distributed planner: all 22 TPC-H queries,
+//! planned and executed by the engine on 1-, 2- and 4-node clusters, must
+//! produce results identical to the single-threaded reference interpreter
+//! in `tests/common/reference.rs` (the oracle) — plus property tests that
+//! random filter/aggregate logical plans and random multi-stage
+//! `LogicalQuery`s (random parameter arity, CTE reuse) lower through the
+//! planner without panicking.
+
+mod common;
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use common::{assert_tables_equal, plan_tpch, reference};
 use hsqp::engine::cluster::{Cluster, ClusterConfig};
 use hsqp::engine::expr::{col, lit, litf, param, Expr};
 use hsqp::engine::logical::{LogicalPlan, LogicalQuery};
 use hsqp::engine::plan::{AggFunc, AggSpec, SortKey};
 use hsqp::engine::planner::{Planner, PlannerConfig};
-use hsqp::engine::queries::{tpch_logical, tpch_query, ALL_QUERIES};
-use hsqp::storage::{date_from_ymd, Table, Value};
+use hsqp::engine::queries::{tpch_logical, ALL_QUERIES};
+use hsqp::storage::{date_from_ymd, Table};
 use hsqp::tpch::{TpchDb, TpchTable};
 
 const SF: f64 = 0.01;
 
-/// Compare tables modulo row order and float rounding (same comparator as
-/// the cross-cluster correctness suite).
-fn assert_tables_equal(a: &Table, b: &Table, what: &str) {
-    assert_eq!(a.rows(), b.rows(), "{what}: row counts differ");
-    assert_eq!(a.schema().len(), b.schema().len(), "{what}: arity differs");
-    let rows = |t: &Table| -> Vec<Vec<String>> {
-        let mut rows: Vec<Vec<String>> = (0..t.rows())
-            .map(|r| {
-                (0..t.schema().len())
-                    .map(|c| match t.value(r, c) {
-                        Value::F64(x) => format!("{x:.2}"),
-                        v => v.to_string(),
-                    })
-                    .collect()
+/// The SF 0.01 database and the reference interpreter's answer to every
+/// TPC-H query, computed once per test binary.
+fn reference_answers() -> &'static (TpchDb, Vec<Table>) {
+    static ANSWERS: OnceLock<(TpchDb, Vec<Table>)> = OnceLock::new();
+    ANSWERS.get_or_init(|| {
+        let db = TpchDb::generate(SF);
+        let answers = ALL_QUERIES
+            .iter()
+            .map(|&n| {
+                reference::run(&db, &tpch_logical(n).unwrap())
+                    .unwrap_or_else(|e| panic!("reference Q{n} failed: {e}"))
             })
             .collect();
-        rows.sort();
-        rows
-    };
-    assert_eq!(rows(a), rows(b), "{what}: contents differ");
+        (db, answers)
+    })
 }
 
-fn builder_matches_handwritten_on(nodes: u16) {
+fn engine_matches_reference_on(nodes: u16) {
+    let (db, answers) = reference_answers();
     let cluster = Cluster::start(ClusterConfig::quick(nodes)).unwrap();
-    cluster.load_tpch_db(TpchDb::generate(SF)).unwrap();
-    let planner = Planner::for_cluster(&cluster);
-    for n in ALL_QUERIES {
-        let oracle = cluster
-            .run(&tpch_query(n).unwrap())
-            .unwrap_or_else(|e| panic!("handwritten Q{n} failed: {e}"))
-            .table;
-        let logical = tpch_logical(n).unwrap();
-        let query = planner
-            .plan_query(&logical)
-            .unwrap_or_else(|e| panic!("planning Q{n} failed: {e}"));
-        let built = cluster
-            .run(&query)
-            .unwrap_or_else(|e| panic!("builder Q{n} failed: {e}"))
-            .table;
+    cluster.load_tpch_db(db.clone()).unwrap();
+    for (&n, expected) in ALL_QUERIES.iter().zip(answers) {
         // Guard against vacuous agreement: at SF 0.01 every query except
-        // Q9 returns rows, so "both modes identically empty" is a bug in
-        // shared machinery (e.g. a join-key type mismatch), not a match.
+        // Q9 returns rows, so an empty reference answer is a bug in the
+        // query definition or the interpreter, not a match.
         if n != 9 {
-            assert!(oracle.rows() > 0, "Q{n} oracle returned no rows at SF {SF}");
+            assert!(
+                expected.rows() > 0,
+                "Q{n} reference returned no rows at SF {SF}"
+            );
         }
-        assert_tables_equal(&oracle, &built, &format!("Q{n} ({nodes} nodes)"));
+        let actual = cluster
+            .run(&plan_tpch(&cluster, n))
+            .unwrap_or_else(|e| panic!("Q{n} failed on {nodes} nodes: {e}"))
+            .table;
+        assert_tables_equal(expected, &actual, &format!("Q{n} ({nodes} nodes)"));
     }
     cluster.shutdown();
 }
 
 #[test]
-fn builder_matches_handwritten_on_2_nodes() {
-    builder_matches_handwritten_on(2);
+fn engine_matches_reference_on_1_node() {
+    engine_matches_reference_on(1);
 }
 
 #[test]
-fn builder_matches_handwritten_on_4_nodes() {
-    builder_matches_handwritten_on(4);
+fn engine_matches_reference_on_2_nodes() {
+    engine_matches_reference_on(2);
+}
+
+#[test]
+fn engine_matches_reference_on_4_nodes() {
+    engine_matches_reference_on(4);
 }
 
 /// Feedback-driven re-planning may change *plans*, never *answers*: all 22
@@ -302,12 +303,10 @@ proptest! {
         use hsqp::engine::stats::{StatsCatalog, StatsMode};
         // Every stats mode must lower every valid plan: cost-based pruning
         // may pick different exchanges, never reject or panic.
-        for mode in [StatsMode::Off, StatsMode::Static, StatsMode::Feedback] {
+        for mode in [StatsMode::Static, StatsMode::Feedback] {
             let mut cfg = PlannerConfig::new(nodes);
             cfg.mode = mode;
-            if mode != StatsMode::Off {
-                cfg.catalog = Some(std::sync::Arc::new(StatsCatalog::declared_tpch(0.01)));
-            }
+            cfg.catalog = Some(std::sync::Arc::new(StatsCatalog::declared_tpch(0.01)));
             let plan = Planner::new(cfg).plan(&lp);
             prop_assert!(
                 plan.is_ok(),

@@ -3,12 +3,14 @@
 //! against the in-process simulated cluster plus failure containment when
 //! a node process is killed mid-query.
 
+mod common;
+
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use common::{plan_tpch, plan_tpch_for};
 use hsqp::engine::cluster::{Cluster, ClusterConfig};
-use hsqp::engine::queries::tpch_query;
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
 use hsqp::engine::EngineError;
 
@@ -76,7 +78,7 @@ fn process_cluster_rows_match_in_process() {
     local.load_tpch(SF).expect("load TPC-H in-process");
 
     for qn in [1u32, 3, 5, 12] {
-        let query = tpch_query(qn).expect("build query");
+        let query = plan_tpch(&local, qn);
         let remote = pc
             .run(&query)
             .unwrap_or_else(|e| panic!("Q{qn} remote: {e}"));
@@ -104,7 +106,7 @@ fn killing_a_node_mid_query_errors_within_timeout() {
     pc.load_tpch(0.01).expect("load TPC-H");
 
     // Sanity: the cluster works before the kill.
-    let q3 = tpch_query(3).expect("build Q3");
+    let q3 = plan_tpch_for(2, 3);
     pc.run(&q3).expect("Q3 before the kill");
 
     let (tx, rx) = std::sync::mpsc::channel();

@@ -5,14 +5,16 @@
 //! an open-loop CLI smoke over both the in-process and out-of-process
 //! backends.
 
+mod common;
+
 use std::io::{self, BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use common::plan_tpch_for;
 use hsqp::engine::cluster::{Cluster, ClusterConfig, Coordinator, QueryHandle};
 use hsqp::engine::error::EngineError;
-use hsqp::engine::queries::tpch_query;
 use hsqp::engine::remote::{NodeServer, ProcessCluster, ProcessClusterConfig};
 use hsqp::engine::serve::{DispatchConfig, SubmitOptions, TenantConfig};
 
@@ -89,8 +91,8 @@ fn weighted_fair_scheduling_serves_in_weight_proportion() {
 }
 
 fn weighted_fair_on(cluster: &Coordinator) {
-    let plug = tpch_query(9).expect("build Q9");
-    let fast = tpch_query(6).expect("build Q6");
+    let plug = plan_tpch_for(2, 9);
+    let fast = plan_tpch_for(2, 6);
     let serial_rows = cluster.run(&fast).expect("serial Q6").row_count();
 
     // Occupy the only dispatcher slot, then enqueue the backlog while it
@@ -163,7 +165,7 @@ fn weighted_fair_on(cluster: &Coordinator) {
 #[test]
 fn cancellation_latency_is_morsel_bounded() {
     let cluster = serving_cluster(0.02, &[]);
-    let heavy = tpch_query(9).expect("build Q9");
+    let heavy = plan_tpch_for(2, 9);
     let wall = {
         let started = Instant::now();
         cluster.run(&heavy).expect("baseline Q9");
@@ -201,8 +203,8 @@ fn cancellation_latency_is_morsel_bounded() {
 #[test]
 fn deadline_and_wait_timeout_do_not_wedge() {
     let cluster = serving_cluster(0.01, &[]);
-    let heavy = tpch_query(9).expect("build Q9");
-    let fast = tpch_query(6).expect("build Q6");
+    let heavy = plan_tpch_for(2, 9);
+    let fast = plan_tpch_for(2, 6);
 
     // Deadline far shorter than the query: typed DeadlineExceeded.
     let handle = cluster
@@ -260,8 +262,8 @@ fn admission_cap_rejects_over_queue_submissions() {
             ("open", TenantConfig::weighted(1)),
         ],
     );
-    let heavy = tpch_query(9).expect("build Q9");
-    let fast = tpch_query(6).expect("build Q6");
+    let heavy = plan_tpch_for(2, 9);
+    let fast = plan_tpch_for(2, 6);
 
     // Plug the single dispatcher slot so subsequent submissions queue.
     let plug = cluster

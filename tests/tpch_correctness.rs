@@ -1,43 +1,25 @@
 //! Cross-crate integration: all 22 TPC-H queries must produce identical
-//! results on a single server and on a multi-server cluster, across
-//! transports and engine variants — the core correctness invariant of
-//! distributed query execution.
+//! results on a single server (checked against the reference interpreter)
+//! and on a multi-server cluster, across transports, engine variants and
+//! data placements — the core correctness invariant of distributed query
+//! execution.
 
+mod common;
+
+use common::{assert_tables_equal, plan_tpch, reference};
 use hsqp::engine::cluster::{Cluster, ClusterConfig, EngineKind, Transport};
-use hsqp::engine::queries::{tpch_query, ALL_QUERIES};
-use hsqp::storage::{Table, Value};
+use hsqp::engine::queries::{tpch_logical, ALL_QUERIES};
+use hsqp::storage::Table;
 use hsqp::tpch::TpchDb;
 
 const SF: f64 = 0.002;
-
-/// Compare tables modulo row order and float rounding.
-fn assert_tables_equal(a: &Table, b: &Table, what: &str) {
-    assert_eq!(a.rows(), b.rows(), "{what}: row counts differ");
-    assert_eq!(a.schema().len(), b.schema().len(), "{what}: arity differs");
-    let rows = |t: &Table| -> Vec<Vec<String>> {
-        let mut rows: Vec<Vec<String>> = (0..t.rows())
-            .map(|r| {
-                (0..t.schema().len())
-                    .map(|c| match t.value(r, c) {
-                        Value::F64(x) => format!("{x:.2}"),
-                        v => v.to_string(),
-                    })
-                    .collect()
-            })
-            .collect();
-        rows.sort();
-        rows
-    };
-    assert_eq!(rows(a), rows(b), "{what}: contents differ");
-}
 
 fn run_all(cluster: &Cluster) -> Vec<Table> {
     ALL_QUERIES
         .iter()
         .map(|&n| {
-            let q = tpch_query(n).unwrap();
             cluster
-                .run(&q)
+                .run(&plan_tpch(cluster, n))
                 .unwrap_or_else(|e| panic!("query {n} failed: {e}"))
                 .table
         })
@@ -50,15 +32,21 @@ fn all_queries_match_across_cluster_sizes() {
 
     let single = Cluster::start(ClusterConfig::quick(1)).unwrap();
     single.load_tpch_db(db.clone()).unwrap();
-    let reference = run_all(&single);
+    let local = run_all(&single);
     single.shutdown();
+
+    for (&n, a) in ALL_QUERIES.iter().zip(&local) {
+        let expected = reference::run(&db, &tpch_logical(n).unwrap())
+            .unwrap_or_else(|e| panic!("reference query {n} failed: {e}"));
+        assert_tables_equal(&expected, a, &format!("query {n} (reference vs 1 node)"));
+    }
 
     let multi = Cluster::start(ClusterConfig::quick(3)).unwrap();
     multi.load_tpch_db(db).unwrap();
     let distributed = run_all(&multi);
     multi.shutdown();
 
-    for ((n, a), b) in ALL_QUERIES.iter().zip(&reference).zip(&distributed) {
+    for ((n, a), b) in ALL_QUERIES.iter().zip(&local).zip(&distributed) {
         assert_tables_equal(a, b, &format!("query {n} (1 vs 3 nodes)"));
     }
 }
@@ -79,7 +67,7 @@ fn queries_match_over_tcp_transport() {
 
     // A representative subset (all operator shapes) to keep runtime sane.
     for n in [1, 3, 6, 13, 16, 17, 21, 22] {
-        let q = tpch_query(n).unwrap();
+        let q = plan_tpch(&rdma, n);
         let a = rdma.run(&q).unwrap().table;
         let b = tcp.run(&q).unwrap().table;
         assert_tables_equal(&a, &b, &format!("query {n} (rdma vs tcp)"));
@@ -104,7 +92,7 @@ fn classic_engine_matches_hybrid() {
     classic.load_tpch_db(db).unwrap();
 
     for n in [1, 4, 5, 10, 12, 14, 18] {
-        let q = tpch_query(n).unwrap();
+        let q = plan_tpch(&hybrid, n);
         let a = hybrid.run(&q).unwrap().table;
         let b = classic.run(&q).unwrap().table;
         assert_tables_equal(&a, &b, &format!("query {n} (hybrid vs classic)"));
@@ -128,9 +116,10 @@ fn partitioned_placement_matches_chunked() {
     partitioned.load_tpch_db(db).unwrap();
 
     for n in [2, 3, 9, 11, 15, 19, 20] {
-        let q = tpch_query(n).unwrap();
-        let a = chunked.run(&q).unwrap().table;
-        let b = partitioned.run(&q).unwrap().table;
+        // Each cluster runs its own plan: on partitioned placement the
+        // planner elides exchanges for joins on a table's first column.
+        let a = chunked.run(&plan_tpch(&chunked, n)).unwrap().table;
+        let b = partitioned.run(&plan_tpch(&partitioned, n)).unwrap().table;
         assert_tables_equal(&a, &b, &format!("query {n} (chunked vs partitioned)"));
     }
     chunked.shutdown();
